@@ -27,7 +27,7 @@ void ThreadedScenarioRunner::start() {
   // thread before this loop finishes, and its finished_one() must see the
   // final total.
   std::size_t total = 0;
-  for (const ScenarioAction& action : script_.actions) total += windowed(action) ? 2 : 1;
+  for (const ScenarioAction& action : script_.actions) total += windowed(action) ? 2U : 1U;
   {
     std::lock_guard lock(mutex_);
     outstanding_ = total;

@@ -146,8 +146,8 @@ void ActiveVotingHandler::handle_announce(const proto::Announce& announce) {
       if (!pending.dispatched_flag && !pending.delivered) parked.push_back(id);
     }
     for (RequestId id : parked) {
-      auto it = pending_.find(id);
-      if (it != pending_.end() && !it->second.dispatched_flag) dispatch(id, it->second);
+      auto found = pending_.find(id);
+      if (found != pending_.end() && !found->second.dispatched_flag) dispatch(id, found->second);
     }
   });
 }

@@ -94,8 +94,8 @@ void PassiveReplicationHandler::handle_announce(const proto::Announce& announce)
       if (!pending.sent) parked.push_back(id);
     }
     for (RequestId id : parked) {
-      auto it = pending_.find(id);
-      if (it != pending_.end() && !it->second.sent) send_to_primary(id, it->second);
+      auto found = pending_.find(id);
+      if (found != pending_.end() && !found->second.sent) send_to_primary(id, found->second);
     }
   });
 }

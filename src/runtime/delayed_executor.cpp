@@ -1,6 +1,7 @@
 #include "runtime/delayed_executor.h"
 
 #include "common/assert.h"
+#include "runtime/timer_slack.h"
 
 namespace aqua::runtime {
 
@@ -34,6 +35,7 @@ void DelayedExecutor::shutdown() {
 }
 
 void DelayedExecutor::worker() {
+  use_precise_timers();
   std::unique_lock lock(mutex_);
   while (true) {
     if (stopping_) return;

@@ -48,6 +48,19 @@ struct ThreadedClient::RequestState {
   /// Every replica that has replied so far, for coded cancels: a replier
   /// finished its chunk, so there is nothing left to withdraw from it.
   std::vector<ReplicaId> repliers;
+  /// When the completing reply arrived: t4 of its gateway-delay sample.
+  std::chrono::steady_clock::time_point delivered_at;
+
+  /// Count one reply toward completion; the completing one is kept and
+  /// wakes invoke(). Caller holds `mutex`.
+  void record(const proto::Reply& reply) {
+    repliers.push_back(reply.replica);
+    if (delivered || !collector.record(reply.replica, reply.chunk, reply.code_id)) return;
+    delivered = true;
+    delivered_at = std::chrono::steady_clock::now();
+    first_reply = reply;
+    cv.notify_all();
+  }
 };
 
 ThreadedClient::ThreadedClient(std::vector<ThreadedReplica*> replicas, core::QosSpec qos, Rng rng,
@@ -76,6 +89,7 @@ ThreadedClient::ThreadedClient(std::vector<ThreadedReplica*> replicas, core::Qos
     cold_starts_counter_ = &metrics.counter("threaded.cold_starts");
     response_time_histogram_ = &metrics.histogram("threaded.response_time_us");
     selection_overhead_histogram_ = &metrics.histogram("threaded.selection_overhead_us");
+    td_clamped_counter_ = &metrics.counter("threaded_client.td_clamped");
   }
   {
     std::lock_guard lock(mutex_);
@@ -133,26 +147,13 @@ void ThreadedClient::on_receive(EndpointId from, const net::Payload& message) {
     std::shared_ptr<RequestState> state;
     {
       std::lock_guard lock(mutex_);
-      if (repository_.contains(reply->replica)) {
-        repository_.record_perf(reply->replica,
-                                core::PerfSample{reply->perf.service_time,
-                                                 reply->perf.queuing_delay,
-                                                 reply->perf.queue_length,
-                                                 reply->perf.sample_seq},
-                                mono_now(), reply->method);
-      }
+      record_perf(reply->replica, reply->perf, reply->method);
       auto it = outstanding_.find(reply->request);
       if (it != outstanding_.end()) state = it->second;
     }
     if (state != nullptr) {
       std::lock_guard slock(state->mutex);
-      state->repliers.push_back(reply->replica);
-      if (!state->delivered &&
-          state->collector.record(reply->replica, reply->chunk, reply->code_id)) {
-        state->delivered = true;
-        state->first_reply = *reply;
-        state->cv.notify_all();
-      }
+      state->record(*reply);
     }
     return;
   }
@@ -164,15 +165,17 @@ void ThreadedClient::on_receive(EndpointId from, const net::Payload& message) {
   }
   if (const auto* update = message.get_if<proto::PerfUpdate>()) {
     std::lock_guard lock(mutex_);
-    if (repository_.contains(update->replica)) {
-      repository_.record_perf(update->replica,
-                              core::PerfSample{update->perf.service_time,
-                                               update->perf.queuing_delay,
-                                               update->perf.queue_length,
-                                               update->perf.sample_seq},
-                              mono_now(), update->method);
-    }
+    record_perf(update->replica, update->perf, update->method);
   }
+}
+
+void ThreadedClient::record_perf(ReplicaId replica, const proto::PerfData& perf,
+                                 const std::string& method) {
+  if (!repository_.contains(replica)) return;
+  repository_.record_perf(
+      replica, core::PerfSample{perf.service_time, perf.queuing_delay, perf.queue_length,
+                                perf.sample_seq},
+      mono_now(), method);
 }
 
 void ThreadedClient::evict_host(HostId host) {
@@ -322,22 +325,10 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
         executor_.post_after(back_delay, [this, state, reply] {
           {
             std::lock_guard lock(mutex_);
-            if (repository_.contains(reply.replica)) {
-              repository_.record_perf(
-                  reply.replica,
-                  core::PerfSample{reply.perf.service_time, reply.perf.queuing_delay,
-                                   reply.perf.queue_length, reply.perf.sample_seq},
-                  mono_now(), reply.method);
-            }
+            record_perf(reply.replica, reply.perf, reply.method);
           }
           std::lock_guard slock(state->mutex);
-          state->repliers.push_back(reply.replica);
-          if (!state->delivered &&
-              state->collector.record(reply.replica, reply.chunk, reply.code_id)) {
-            state->delivered = true;
-            state->first_reply = reply;
-            state->cv.notify_all();
-          }
+          state->record(reply);
         });
       }, request_ctx);
     });
@@ -347,6 +338,9 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
     return copy;
   };
 
+  // t1: the primary copies leave now. Hedge copies leave at hedge_sent_at.
+  const auto t1 = SteadyClock::now();
+  SteadyClock::time_point hedge_sent_at;
   if (transport_ != nullptr) {
     if (coded) {
       // Real network, coded: each member gets its own chunk-request.
@@ -378,6 +372,7 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
     hedge_fired = !state->delivered;
   }
   if (hedge_fired) {
+    hedge_sent_at = SteadyClock::now();
     outcome.hedge_fired = true;
     hedges_fired_.fetch_add(1, std::memory_order_relaxed);
     {
@@ -408,6 +403,7 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
   // coded stall path — k−1 chunks then silence returns unanswered
   // instead of hanging.
   proto::Reply first_reply;
+  SteadyClock::time_point first_reply_at;
   std::vector<ReplicaId> already_replied;
   {
     std::unique_lock slock(state->mutex);
@@ -416,6 +412,7 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
     outcome.chunks_received = state->collector.distinct();
     if (outcome.answered) {
       first_reply = state->first_reply;
+      first_reply_at = state->delivered_at;
       outcome.first_replica = first_reply.replica;
       outcome.result = first_reply.result;
     }
@@ -476,6 +473,25 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
   const auto t4 = SteadyClock::now();
   outcome.response_time = std::chrono::duration_cast<Duration>(t4 - t0);
   outcome.timely = outcome.answered && outcome.response_time <= qos_snapshot.deadline;
+
+  // Two-way gateway delay t_d = t4 - t1 - t_q - t_s of the copy that
+  // answered, timed from when THAT copy left: a hedge copy's t_d does not
+  // include the hedge wait, and no copy's includes selection. A negative
+  // raw value is floored for the model but counted.
+  Duration td{};
+  if (outcome.answered) {
+    const bool hedge_copy =
+        hedge_fired && std::find(plan.hedge.begin(), plan.hedge.end(), first_reply.replica) !=
+                           plan.hedge.end();
+    const auto sent_at = hedge_copy ? hedge_sent_at : t1;
+    td = std::chrono::duration_cast<Duration>(first_reply_at - sent_at) -
+         first_reply.perf.queuing_delay - first_reply.perf.service_time;
+    if (td < Duration::zero()) {
+      td = Duration::zero();
+      td_clamped_.fetch_add(1, std::memory_order_relaxed);
+      if (td_clamped_counter_ != nullptr) td_clamped_counter_->add();
+    }
+  }
   if (span_sink_ != nullptr) {
     const TimePoint wall_t4 = wall_t0 + outcome.response_time;
     if (outcome.answered) {
@@ -532,9 +548,7 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
       tr.response_time = outcome.response_time;
       tr.service_time = first_reply.perf.service_time;
       tr.queuing_delay = first_reply.perf.queuing_delay;
-      tr.gateway_delay =
-          std::max(Duration::zero(), outcome.response_time - first_reply.perf.queuing_delay -
-                                         first_reply.perf.service_time);
+      tr.gateway_delay = td;
       tr.first_replica = first_reply.replica;
     }
     obs_->record_request(tr);
@@ -569,14 +583,9 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
                             .detail = "timely fraction recovered"});
       }
     }
-    if (outcome.answered) {
-      // Two-way "gateway" delay: total minus queuing minus service.
-      const Duration td = outcome.response_time - first_reply.perf.queuing_delay -
-                          first_reply.perf.service_time;
-      if (repository_.contains(first_reply.replica)) {
-        repository_.record_gateway_delay(first_reply.replica, std::max(Duration::zero(), td),
-                                         mono_now(), first_reply.perf.sample_seq);
-      }
+    if (outcome.answered && repository_.contains(first_reply.replica)) {
+      repository_.record_gateway_delay(first_reply.replica, td, mono_now(),
+                                       first_reply.perf.sample_seq);
     }
   }
   return outcome;

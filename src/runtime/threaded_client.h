@@ -15,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -161,6 +162,10 @@ class ThreadedClient {
   [[nodiscard]] std::uint64_t cancels_sent() const {
     return cancels_sent_.load(std::memory_order_relaxed);
   }
+  /// Gateway-delay samples whose raw t_d was negative and got floored.
+  [[nodiscard]] std::uint64_t td_clamped() const {
+    return td_clamped_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct RequestState;
@@ -173,6 +178,8 @@ class ThreadedClient {
   };
 
   void on_receive(EndpointId from, const net::Payload& message);
+  /// Harvest a piggybacked sample into the repository. Caller holds mutex_.
+  void record_perf(ReplicaId replica, const proto::PerfData& perf, const std::string& method);
   void evict_host(HostId host);
 
   std::vector<ThreadedReplica*> replicas_;
@@ -206,6 +213,7 @@ class ThreadedClient {
 
   std::atomic<std::uint64_t> hedges_fired_{0};
   std::atomic<std::uint64_t> cancels_sent_{0};
+  std::atomic<std::uint64_t> td_clamped_{0};
 
   /// Null unless telemetry is attached; safe to update without mutex_
   /// (counters and histograms are internally atomic).
@@ -219,6 +227,7 @@ class ThreadedClient {
   obs::Counter* cold_starts_counter_ = nullptr;
   obs::Histogram* response_time_histogram_ = nullptr;
   obs::Histogram* selection_overhead_histogram_ = nullptr;
+  obs::Counter* td_clamped_counter_ = nullptr;
 
   /// Declared last so it is destroyed FIRST: the executor's worker runs
   /// reply hops that lock mutex_ and write repository_, and its shutdown

@@ -4,6 +4,7 @@
 
 #include "common/assert.h"
 #include "obs/telemetry.h"
+#include "runtime/timer_slack.h"
 
 namespace aqua::runtime {
 
@@ -60,6 +61,7 @@ void ThreadedReplica::crash() {
 }
 
 void ThreadedReplica::worker() {
+  use_precise_timers();
   while (auto job = queue_.pop()) {
     const auto dequeued_at = std::chrono::steady_clock::now();
     Duration service = service_time_->sample(rng_);
@@ -69,7 +71,9 @@ void ThreadedReplica::worker() {
     if (job->request.code_k > 1) {
       service = std::max(Duration{1}, service / static_cast<std::int64_t>(job->request.code_k));
     }
-    std::this_thread::sleep_for(service);
+    // Sleep to an absolute end, so the draw alone bounds the reported t_s
+    // and the bookkeeping above does not add to it.
+    std::this_thread::sleep_until(dequeued_at + service);
     if (!alive_.load()) return;  // crashed mid-service: never reply
 
     proto::Reply reply;

@@ -5,6 +5,7 @@
 
 #include "common/assert.h"
 #include "obs/scrape.h"
+#include "runtime/timer_slack.h"
 
 namespace aqua::runtime {
 
@@ -98,6 +99,7 @@ std::vector<WorkloadStats> ThreadedSystem::run_workload(std::size_t requests, Du
   drivers.reserve(clients_.size());
   for (std::size_t c = 0; c < clients_.size(); ++c) {
     drivers.emplace_back([this, c, requests, think, &stats] {
+      use_precise_timers();  // think time is emulated with a sleep
       ThreadedClient& client = *clients_[c];
       WorkloadStats& s = stats[c];
       for (std::size_t i = 0; i < requests; ++i) {

@@ -2,12 +2,16 @@
 // suite stays fast while still exercising real threads and sleeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "obs/telemetry.h"
 #include "runtime/blocking_queue.h"
 #include "runtime/delayed_executor.h"
 #include "runtime/threaded_client.h"
@@ -15,6 +19,17 @@
 
 namespace aqua::runtime {
 namespace {
+
+Duration median(std::vector<Duration> samples) {
+  const auto mid = samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
+  std::nth_element(samples.begin(), mid, samples.end());
+  return *mid;
+}
+
+/// How late a runtime-owned timed wait may end, at the median. The
+/// kernel's default 50 µs timer slack overshoots this on every wait; at
+/// the runtime's 1 ns slack only the wake-up itself remains.
+const Duration kWakeBound = usec(25);
 
 TEST(BlockingQueueTest, PushPopSingleThread) {
   BlockingQueue<int> q;
@@ -122,6 +137,20 @@ TEST(DelayedExecutorTest, ShutdownDiscardsPendingAndRejectsNew) {
   EXPECT_FALSE(ran.load());
 }
 
+TEST(DelayedExecutorTest, TasksRunOnTime) {
+  using Clock = std::chrono::steady_clock;
+  DelayedExecutor executor;
+  std::vector<Duration> lateness;
+  for (int i = 0; i < 200; ++i) {
+    std::promise<Clock::time_point> ran;
+    auto ran_at = ran.get_future();
+    const auto due = Clock::now() + usec(100);
+    ASSERT_TRUE(executor.post_after(usec(100), [&ran] { ran.set_value(Clock::now()); }));
+    lateness.push_back(std::chrono::duration_cast<Duration>(ran_at.get() - due));
+  }
+  EXPECT_LT(median(lateness), kWakeBound);
+}
+
 TEST(ThreadedReplicaTest, ServicesAndReportsPerf) {
   ThreadedReplica replica{ReplicaId{1}, stats::make_constant(msec(5)), Rng{1}};
   std::atomic<bool> got{false};
@@ -152,6 +181,30 @@ TEST(ThreadedReplicaTest, CrashStopsService) {
   EXPECT_FALSE(replica.submit(request, [&](const proto::Reply&) { ++replies; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   EXPECT_EQ(replies.load(), 0);
+}
+
+TEST(ThreadedReplicaTest, ServiceTimeIsTheDraw) {
+  // The piggybacked t_s is what Algorithm 1 models: it must be the drawn
+  // service, not the draw plus timer slack.
+  const Duration draw = usec(20);
+  constexpr std::size_t kJobs = 200;
+  ThreadedReplica replica{ReplicaId{1}, stats::make_constant(draw), Rng{1}};
+  std::mutex m;
+  std::condition_variable done;
+  std::vector<Duration> service;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    const proto::Request request{RequestId{i + 1}, ClientId{1}, "invoke", 0};
+    ASSERT_TRUE(replica.submit(request, [&](const proto::Reply& reply) {
+      std::lock_guard lock(m);
+      service.push_back(reply.perf.service_time);
+      done.notify_one();
+    }));
+  }
+  std::unique_lock lock(m);
+  ASSERT_TRUE(done.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return service.size() == kJobs; }));
+  EXPECT_GE(*std::min_element(service.begin(), service.end()), draw);
+  EXPECT_LT(median(service), draw + kWakeBound);
 }
 
 class ThreadedClientTest : public ::testing::Test {
@@ -232,6 +285,42 @@ TEST_F(ThreadedClientTest, RedundantDispatchMasksCrashWithoutRemoval) {
   const auto outcome = client.invoke(2);
   EXPECT_TRUE(outcome.answered);
   EXPECT_EQ(outcome.first_replica, ReplicaId{2});
+}
+
+TEST_F(ThreadedClientTest, HedgeCopyGatewayDelayExcludesTheHedgeWait) {
+  auto slowdown = std::make_shared<stats::LoadModulation>();
+  ThreadedReplica primary{
+      ReplicaId{1}, stats::make_modulated_sampler(stats::make_constant(msec(1)), slowdown),
+      Rng{1}};
+  ThreadedReplica backup{ReplicaId{2}, stats::make_constant(msec(4)), Rng{2}};
+  obs::Telemetry telemetry;
+  ThreadedClientConfig cfg = fast_config();
+  cfg.dispatch.mode = core::DispatchMode::kHedged;
+  cfg.telemetry = &telemetry;
+  ThreadedClient client{{&primary, &backup}, core::QosSpec{msec(100), 0.5}, Rng{3}, cfg};
+  client.invoke(1);  // cold start: both windows get a sample
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  // The repository still ranks the primary first, so it is sent alone and
+  // misses; the hedge fires after at least 5 ms (5% of the deadline) and
+  // the backup's copy answers.
+  slowdown->set_extra(msec(60));
+  const auto outcome = client.invoke(2);
+  ASSERT_TRUE(outcome.hedged);
+  ASSERT_TRUE(outcome.hedge_fired);
+  ASSERT_EQ(outcome.first_replica, ReplicaId{2});
+
+  const auto traces = telemetry.request_traces();
+  ASSERT_EQ(traces.size(), 2u);
+  const obs::RequestTrace& hedged = traces.back();
+  EXPECT_EQ(hedged.first_replica, ReplicaId{2});
+  // t_d is timed from when the backup's copy left, not from t0: it holds
+  // that copy's two hops (>= 200 µs each) but not the >= 5 ms hedge wait.
+  EXPECT_GE(hedged.gateway_delay, usec(400));
+  EXPECT_LE(hedged.gateway_delay + msec(5),
+            outcome.response_time - hedged.queuing_delay - hedged.service_time);
+  EXPECT_EQ(client.td_clamped(), 0u);
+  EXPECT_EQ(telemetry.metrics().counter("threaded_client.td_clamped").value(), 0u);
 }
 
 TEST_F(ThreadedClientTest, QosRenegotiationResetsTracker) {

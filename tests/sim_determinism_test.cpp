@@ -21,8 +21,10 @@ std::vector<std::pair<std::int64_t, std::int64_t>> run_workload(std::uint64_t se
   std::vector<std::pair<std::int64_t, std::int64_t>> trace;
 
   // Three interleaved self-rescheduling processes.
+  std::vector<std::shared_ptr<std::function<void()>>> ticks;
   for (int p = 0; p < 3; ++p) {
     std::shared_ptr<std::function<void()>> tick = std::make_shared<std::function<void()>>();
+    ticks.push_back(tick);
     Rng process_rng = rng.fork(static_cast<std::uint64_t>(p));
     *tick = [&sim, &trace, &sampler, tick, process_rng]() mutable {
       if (trace.size() >= 300) return;
@@ -33,6 +35,7 @@ std::vector<std::pair<std::int64_t, std::int64_t>> run_workload(std::uint64_t se
     sim.schedule_after(usec(p * 100), [tick] { (*tick)(); });
   }
   sim.run_for(sec(10));
+  for (auto& tick : ticks) *tick = nullptr;  // each process holds itself: break the cycle
   return trace;
 }
 

@@ -20,6 +20,9 @@
 # with conserved merged counters, and a real gateway + 2-replica process
 # fleet over loopback UDP must yield at least one fully-stitched trace
 # whose merged counters equal the sum of the per-node /metrics totals.
+# Last come the sanitizer configs: TSan (build-tsan/) runs the chaos,
+# telemetry and transport tiers; ASan+UBSan (build-asan/) runs tier-1,
+# the chaos tier and the transport tests.
 #
 # Usage: tools/run_checks.sh [jobs]
 set -euo pipefail
@@ -234,6 +237,21 @@ ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L obs
 
 step "Transport conformance + UDP runtime (TSan)"
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
+  -R 'SimConformance|UdpConformance|RuntimeTransportTest|UdpRegressionTest'
+
+step "Configure + build: AddressSanitizer + UndefinedBehaviorSanitizer (build-asan/)"
+cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DENABLE_ASAN=ON -DENABLE_UBSAN=ON \
+  >/dev/null
+cmake --build build-asan -j "${JOBS}"
+
+step "Tier-1 ctest (ASan+UBSan)"
+ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
+
+step "Chaos tier: ctest -L fault (ASan+UBSan)"
+ctest --test-dir build-asan --output-on-failure -j "${JOBS}" -L fault
+
+step "Transport conformance + UDP runtime (ASan+UBSan)"
+ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
   -R 'SimConformance|UdpConformance|RuntimeTransportTest|UdpRegressionTest'
 
 step "All checks passed"
