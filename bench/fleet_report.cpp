@@ -37,7 +37,6 @@
 #include "obs/fleet.h"
 #include "obs/scrape.h"
 #include "obs/telemetry.h"
-#include "runtime/replica_endpoint.h"
 #include "runtime/threaded_client.h"
 #include "runtime/threaded_replica.h"
 #include "stats/variates.h"
@@ -64,7 +63,6 @@ struct ReplicaNode {
   obs::Telemetry telemetry;
   net::UdpTransport transport{fast_udp()};
   std::unique_ptr<runtime::ThreadedReplica> replica;
-  std::unique_ptr<runtime::ReplicaEndpoint> endpoint;
   std::unique_ptr<obs::ScrapeServer> scrape;
   std::uint16_t udp_port = 0;
 
@@ -72,14 +70,12 @@ struct ReplicaNode {
     transport.set_telemetry(&telemetry);
     replica = std::make_unique<runtime::ThreadedReplica>(
         ReplicaId{id}, stats::make_exponential(msec(2)), Rng{7}.fork("replica").fork(id),
-        &telemetry);
-    endpoint = std::make_unique<runtime::ReplicaEndpoint>(
-        transport, *replica,
+        transport,
         [this, id](net::ReceiveFn fn) {
           return transport.create_endpoint_on(HostId{id}, /*port=*/0, std::move(fn));
         },
         &telemetry);
-    udp_port = transport.endpoint_port(endpoint->endpoint());
+    udp_port = transport.endpoint_port(replica->endpoint());
     scrape = std::make_unique<obs::ScrapeServer>(telemetry, /*port=*/0);
   }
 };
@@ -130,9 +126,8 @@ int main() {
   client_config.transport = &gateway_transport;
   client_config.id = ClientId{1};
   client_config.host = HostId{1'000};
-  runtime::ThreadedClient client{std::vector<runtime::ThreadedReplica*>{},
-                                 core::QosSpec{msec(50), 0.9},
-                                 Rng{7}.fork("client").fork(1), client_config};
+  runtime::ThreadedClient client{core::QosSpec{msec(50), 0.9}, Rng{7}.fork("client").fork(1),
+                                 client_config};
   for (const auto& node : replicas) {
     client.subscribe_to(gateway_transport.register_peer("127.0.0.1", node->udp_port));
   }

@@ -24,8 +24,8 @@ int main() {
     for (std::int64_t deadline_ms : {15, 18, 22, 26}) {
       ThreadedSystemConfig cfg;
       cfg.seed = 42;
-      cfg.client.net.base = usec(300);
-      cfg.client.net.jitter_max = usec(200);
+      cfg.net.base = usec(300);
+      cfg.net.jitter_max = usec(200);
       ThreadedSystem system{cfg};
       for (int i = 0; i < 5; ++i) {
         system.add_replica(stats::make_truncated_normal(msec(10), msec(5)));

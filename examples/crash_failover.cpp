@@ -14,7 +14,9 @@ int main() {
   using namespace aqua;
   using namespace aqua::gateway;
 
-  AquaSystem system{SystemConfig{.seed = 5}};
+  SystemConfig config;
+  config.seed = 5;
+  AquaSystem system{config};
 
   // Replica 1 is the obvious favourite; 2..5 are solid backups.
   auto& favourite = system.add_replica(
@@ -49,7 +51,7 @@ int main() {
   const auto report = client.report();
   std::printf("\n%s\n", report.summary_line().c_str());
   std::printf("timing failures: %zu of %zu (budget: %.0f%%)\n", report.timing_failures,
-              report.requests, 10.0 * report.requests / 100.0);
+              report.requests, 10.0 * static_cast<double>(report.requests) / 100.0);
   std::printf("\nper-request outcomes around the crash:\n");
   std::printf("%-6s %-12s %-14s %-8s\n", "req", "redundancy", "response(ms)", "timely");
   int i = 0;

@@ -29,7 +29,9 @@ int main() {
   const core::QosSpec gold = core::find_service(qos_entries, "pricing").qos;
   const core::QosSpec fallback = core::find_service(qos_entries, "pricing-fallback").qos;
 
-  AquaSystem system{SystemConfig{.seed = 31}};
+  SystemConfig config;
+  config.seed = 31;
+  AquaSystem system{config};
   for (int i = 0; i < 4; ++i) {
     system.add_replica(
         replica::make_sampled_service(stats::make_truncated_normal(msec(60), msec(15))));

@@ -13,7 +13,9 @@ int main() {
   using namespace aqua::gateway;
 
   // 1. A system: simulator + LAN + one replicated-service group.
-  AquaSystem system{SystemConfig{.seed = 7}};
+  SystemConfig config;
+  config.seed = 7;
+  AquaSystem system{config};
 
   // 2. Three replicas, each on its own host; service time ~ N(50ms, 15ms).
   for (int i = 0; i < 3; ++i) {

@@ -17,7 +17,9 @@ int main() {
   using namespace aqua;
   using namespace aqua::gateway;
 
-  AquaSystem system{SystemConfig{.seed = 99}};
+  SystemConfig config;
+  config.seed = 99;
+  AquaSystem system{config};
 
   // Five correlator replicas, ~35ms of compute per return.
   std::vector<replica::ReplicaServer*> correlators;

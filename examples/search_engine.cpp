@@ -17,7 +17,9 @@ int main() {
   using namespace aqua;
   using namespace aqua::gateway;
 
-  AquaSystem system{SystemConfig{.seed = 2024}};
+  SystemConfig config;
+  config.seed = 2024;
+  AquaSystem system{config};
 
   // The server fleet.
   for (int i = 0; i < 2; ++i) {  // fast machines

@@ -7,20 +7,19 @@
 // in about a second of wall time.
 #include <cstdio>
 
-#include "runtime/threaded_client.h"
-#include "runtime/threaded_replica.h"
+#include "runtime/threaded_system.h"
 
 int main() {
   using namespace aqua;
   using namespace aqua::runtime;
 
-  ThreadedReplica fast{ReplicaId{1}, stats::make_truncated_normal(msec(3), usec(800)), Rng{1}};
-  ThreadedReplica mid{ReplicaId{2}, stats::make_truncated_normal(msec(6), usec(1500)), Rng{2}};
-  ThreadedReplica slow{ReplicaId{3}, stats::make_truncated_normal(msec(9), msec(2)), Rng{3}};
-
-  ThreadedClientConfig cfg;
-  cfg.failure_tracker.min_samples = 5;
-  ThreadedClient client{{&fast, &mid, &slow}, core::QosSpec{msec(25), 0.9}, Rng{4}, cfg};
+  ThreadedSystemConfig cfg;
+  cfg.client.failure_tracker.min_samples = 5;
+  ThreadedSystem system{cfg};
+  ThreadedReplica& fast = system.add_replica(stats::make_truncated_normal(msec(3), usec(800)));
+  system.add_replica(stats::make_truncated_normal(msec(6), usec(1500)));
+  system.add_replica(stats::make_truncated_normal(msec(9), msec(2)));
+  ThreadedClient& client = system.add_client(core::QosSpec{msec(25), 0.9});
 
   std::printf("threaded runtime: 3 replica threads, deadline 25ms, Pc=0.9\n\n");
   std::printf("%-6s %-12s %-14s %-8s %-10s %s\n", "req", "redundancy", "response(ms)", "timely",
@@ -31,7 +30,7 @@ int main() {
     if (i == 15) {
       std::printf("--- fastest replica crashes; client learns via membership change ---\n");
       fast.crash();
-      client.remove_replica(ReplicaId{1});
+      client.remove_replica(fast.id());
     }
     const auto outcome = client.invoke(i);
     if (outcome.timely) ++timely;

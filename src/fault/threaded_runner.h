@@ -2,14 +2,14 @@
 //
 // Same script format as the simulated ScenarioRunner, scheduled on a
 // DelayedExecutor against the real clock instead of the simulator: LAN
-// spikes and delay windows retune the shared net-delay LoadModulation,
+// spikes and delay windows retune the LocalTransport's LoadModulation,
 // load ramps retune per-replica sampler modulation blocks, crashes kill
 // the replica worker and withdraw it from every client, queue bursts
 // submit background requests, QoS renegotiation calls set_qos. Actions a
 // threaded deployment cannot express (process restart, probabilistic
-// message drop — the threaded "network" is in-process, there is no wire
-// to drop from) are recorded as unsupported rather than silently skipped,
-// so a test can assert exactly which subset ran.
+// message drop — LocalTransport has no drop filter) are recorded as
+// unsupported rather than silently skipped, so a test can assert exactly
+// which subset ran.
 //
 // Timelines here are NOT bit-reproducible (real scheduling), but the
 // recorded set of applied actions is; the chaos tests assert on that and
@@ -32,10 +32,10 @@
 namespace aqua::fault {
 
 /// Control blocks the runner retunes; the test wires them into the system
-/// before adding replicas/clients (NetDelayModel::modulation, and each
+/// before building it (ThreadedSystemConfig::net.modulation, and each
 /// replica's sampler through stats::make_modulated_sampler).
 struct ThreadedScenarioHooks {
-  /// Shared by every client's NetDelayModel; spike windows scale it,
+  /// The LocalTransport's delay modulation; spike windows scale it,
   /// delay windows add to it.
   stats::LoadModulationPtr net;
   /// Entry i belongs to the replica added i-th.

@@ -24,9 +24,6 @@ bool DelayedExecutor::post_after(std::chrono::microseconds delay, Task task) {
 void DelayedExecutor::shutdown() {
   {
     std::lock_guard lock(mutex_);
-    if (stopping_) {
-      // Already shut down; just make sure the thread is joined.
-    }
     stopping_ = true;
     while (!tasks_.empty()) tasks_.pop();
   }

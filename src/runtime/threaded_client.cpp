@@ -8,12 +8,6 @@
 
 namespace aqua::runtime {
 
-Duration NetDelayModel::sample(Rng& rng) const {
-  Duration delay = base;
-  if (jitter_max > Duration::zero()) delay += Duration{rng.uniform_int(0, count_us(jitter_max))};
-  return modulation ? modulation->apply(delay) : delay;
-}
-
 namespace {
 
 /// Steady-clock instants mapped onto the TimePoint axis so the
@@ -26,7 +20,7 @@ TimePoint mono_now() {
 }
 
 /// The threaded runtime always guards against stale samples: UDP (and
-/// the executor's delay-injected in-process hops) can reorder replies,
+/// LocalTransport's jittered in-process hops) can reorder replies,
 /// and unlike the sim there is no bit-identity contract to preserve.
 core::RepositoryConfig with_stale_guard(core::RepositoryConfig config) {
   config.reject_stale_samples = true;
@@ -63,10 +57,8 @@ struct ThreadedClient::RequestState {
   }
 };
 
-ThreadedClient::ThreadedClient(std::vector<ThreadedReplica*> replicas, core::QosSpec qos, Rng rng,
-                               ThreadedClientConfig config)
-    : replicas_(std::move(replicas)),
-      qos_(qos),
+ThreadedClient::ThreadedClient(core::QosSpec qos, Rng rng, ThreadedClientConfig config)
+    : qos_(qos),
       rng_(std::move(rng)),
       config_(config),
       model_cache_(std::make_shared<core::ModelCache>()),
@@ -75,8 +67,7 @@ ThreadedClient::ThreadedClient(std::vector<ThreadedReplica*> replicas, core::Qos
       tracker_(config.failure_tracker),
       transport_(config.transport) {
   qos_.validate();
-  AQUA_REQUIRE(!replicas_.empty() || transport_ != nullptr,
-               "threaded client needs at least one replica (or a transport to discover them)");
+  AQUA_REQUIRE(transport_ != nullptr, "threaded client needs a transport");
   AQUA_REQUIRE(config_.give_up_deadline_factor >= 1, "give-up factor must be >= 1");
   if (config_.telemetry != nullptr) {
     obs_ = config_.telemetry;
@@ -91,52 +82,39 @@ ThreadedClient::ThreadedClient(std::vector<ThreadedReplica*> replicas, core::Qos
     selection_overhead_histogram_ = &metrics.histogram("threaded.selection_overhead_us");
     td_clamped_counter_ = &metrics.counter("threaded_client.td_clamped");
   }
-  {
-    std::lock_guard lock(mutex_);
-    for (const ThreadedReplica* replica : replicas_) repository_.add_replica(replica->id());
-  }
-  if (transport_ != nullptr) {
-    endpoint_ = transport_->create_endpoint(
-        config_.host,
-        [this](EndpointId from, const net::Payload& message) { on_receive(from, message); });
-    // The transport's subscriber list cannot shrink, so the callback
-    // reaches this client through a relay the destructor severs.
-    evict_relay_ = std::make_shared<HostEvictRelay>();
-    evict_relay_->client = this;
-    transport_->subscribe_host_state(
-        [relay = evict_relay_](HostId host, bool alive) {
-          if (alive) return;
-          std::lock_guard guard(relay->mutex);
-          if (relay->client != nullptr) relay->client->evict_host(host);
-        });
-  }
+  endpoint_ = transport_->create_endpoint(
+      config_.host,
+      [this](EndpointId from, const net::Payload& message) { on_receive(from, message); });
+  // The transport's subscriber list cannot shrink, so the callback
+  // reaches this client through a relay the destructor severs.
+  evict_relay_ = std::make_shared<HostEvictRelay>();
+  evict_relay_->client = this;
+  transport_->subscribe_host_state([relay = evict_relay_](HostId host, bool alive) {
+    if (alive) return;
+    std::lock_guard guard(relay->mutex);
+    if (relay->client != nullptr) relay->client->evict_host(host);
+  });
 }
 
 ThreadedClient::~ThreadedClient() { shutdown(); }
 
 void ThreadedClient::shutdown() {
-  if (transport_ != nullptr) {
-    if (evict_relay_ != nullptr) {
-      std::lock_guard guard(evict_relay_->mutex);
-      evict_relay_->client = nullptr;
-    }
-    // Joins the endpoint's delivery threads: no on_receive after this.
-    // Must not hold mutex_ here — a delivery blocked on it would deadlock
-    // the join.
-    if (!endpoint_destroyed_.exchange(true)) transport_->destroy_endpoint(endpoint_);
+  {
+    std::lock_guard guard(evict_relay_->mutex);
+    evict_relay_->client = nullptr;
   }
-  executor_.shutdown();
+  // Waits out a delivery in progress: no on_receive after this. Must not
+  // hold mutex_ here — a delivery blocked on it would deadlock the wait.
+  if (!endpoint_destroyed_.exchange(true)) transport_->destroy_endpoint(endpoint_);
 }
 
 void ThreadedClient::add_peer_replica(ReplicaId replica, EndpointId endpoint) {
-  AQUA_REQUIRE(transport_ != nullptr, "add_peer_replica requires transport mode");
   std::lock_guard lock(mutex_);
   peer_replicas_[replica] = endpoint;
   if (!repository_.contains(replica)) repository_.add_replica(replica);
 }
 
 void ThreadedClient::subscribe_to(EndpointId peer) {
-  AQUA_REQUIRE(transport_ != nullptr, "subscribe_to requires transport mode");
   transport_->unicast(endpoint_, peer,
                       net::Payload::make(proto::Subscribe{config_.id, endpoint_},
                                          proto::kSubscribeBytes));
@@ -201,11 +179,8 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
   proto::Request request;
   core::SelectionResult selection;
   core::DispatchPlan plan;
-  std::vector<ThreadedReplica*> targets;
-  std::vector<ThreadedReplica*> hedge_targets;
-  std::vector<EndpointId> target_endpoints;
-  // Transport mode keeps (replica, endpoint) for every copy it sends so
-  // cancel-on-first-reply can address the still-pending members.
+  // (replica, endpoint) for every copy sent, so cancel-on-first-reply can
+  // address the still-pending members.
   std::vector<std::pair<ReplicaId, EndpointId>> primary_peers;
   std::vector<std::pair<ReplicaId, EndpointId>> hedge_peers;
   core::QosSpec qos_snapshot;
@@ -255,30 +230,15 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
       request.code_k = plan.code_k;
       request.code_id = request.id.value();
     }
-    if (transport_ != nullptr) {
-      for (ReplicaId id : plan.primary) {
-        auto it = peer_replicas_.find(id);
-        if (it != peer_replicas_.end()) {
-          primary_peers.emplace_back(id, it->second);
-          target_endpoints.push_back(it->second);
-        }
-      }
-      for (ReplicaId id : plan.hedge) {
-        auto it = peer_replicas_.find(id);
-        if (it != peer_replicas_.end()) hedge_peers.emplace_back(id, it->second);
-      }
-      outstanding_.emplace(request.id, state);
-    } else {
-      auto resolve = [this](std::span<const ReplicaId> ids, std::vector<ThreadedReplica*>& out) {
-        for (ReplicaId id : ids) {
-          auto it = std::find_if(replicas_.begin(), replicas_.end(),
-                                 [id](const ThreadedReplica* r) { return r->id() == id; });
-          if (it != replicas_.end()) out.push_back(*it);
-        }
-      };
-      resolve(plan.primary, targets);
-      resolve(plan.hedge, hedge_targets);
+    for (ReplicaId id : plan.primary) {
+      auto it = peer_replicas_.find(id);
+      if (it != peer_replicas_.end()) primary_peers.emplace_back(id, it->second);
     }
+    for (ReplicaId id : plan.hedge) {
+      auto it = peer_replicas_.find(id);
+      if (it != peer_replicas_.end()) hedge_peers.emplace_back(id, it->second);
+    }
+    outstanding_.emplace(request.id, state);
   }
 
   if (span_sink_ != nullptr) {
@@ -305,59 +265,33 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
   const bool coded = plan.coded;
   std::uint32_t next_chunk = 0;
 
-  // In-process send: one delay-injected hop out, one back, the reply
-  // harvested into the repository before delivery resolution. The copy
-  // is taken by value so coded dispatch can stamp a distinct chunk per
-  // target.
-  auto post_to = [this, &state, &request_ctx](ThreadedReplica* replica, proto::Request copy) {
-    Duration out_delay;
-    {
-      std::lock_guard lock(mutex_);
-      out_delay = config_.net.sample(rng_);
+  // Send a wave of copies: coded dispatch gives each member its own
+  // chunk-request; otherwise one multicast shares the body. Replies come
+  // back through on_receive.
+  auto send = [&](const std::vector<std::pair<ReplicaId, EndpointId>>& peers) {
+    auto payload_of = [&request_ctx](const proto::Request& copy) {
+      net::Payload payload = net::Payload::make(copy, proto::kRequestBytes);
+      if (request_ctx.valid()) payload.set_span(request_ctx);
+      return payload;
+    };
+    if (coded) {
+      for (const auto& [id, endpoint] : peers) {
+        proto::Request copy = request;
+        copy.chunk = next_chunk++;
+        transport_->unicast(endpoint_, endpoint, payload_of(copy));
+      }
+      return;
     }
-    executor_.post_after(out_delay, [this, replica, copy = std::move(copy), state, request_ctx] {
-      replica->submit(copy, [this, state](const proto::Reply& reply) {
-        Duration back_delay;
-        {
-          std::lock_guard lock(mutex_);
-          back_delay = config_.net.sample(rng_);
-        }
-        executor_.post_after(back_delay, [this, state, reply] {
-          {
-            std::lock_guard lock(mutex_);
-            record_perf(reply.replica, reply.perf, reply.method);
-          }
-          std::lock_guard slock(state->mutex);
-          state->record(reply);
-        });
-      }, request_ctx);
-    });
-  };
-  auto stamp = [&](proto::Request copy) {
-    if (coded) copy.chunk = next_chunk++;
-    return copy;
+    std::vector<EndpointId> endpoints;
+    endpoints.reserve(peers.size());
+    for (const auto& [id, endpoint] : peers) endpoints.push_back(endpoint);
+    transport_->multicast(endpoint_, endpoints, payload_of(request));
   };
 
   // t1: the primary copies leave now. Hedge copies leave at hedge_sent_at.
   const auto t1 = SteadyClock::now();
   SteadyClock::time_point hedge_sent_at;
-  if (transport_ != nullptr) {
-    if (coded) {
-      // Real network, coded: each member gets its own chunk-request.
-      for (const auto& [replica_id, peer] : primary_peers) {
-        net::Payload payload = net::Payload::make(stamp(request), proto::kRequestBytes);
-        if (request_ctx.valid()) payload.set_span(request_ctx);
-        transport_->unicast(endpoint_, peer, std::move(payload));
-      }
-    } else {
-      // Real network: the wire replaces the injected delay hops; the
-      // reply path runs through on_receive.
-      net::Payload payload = net::Payload::make(request, proto::kRequestBytes);
-      if (request_ctx.valid()) payload.set_span(request_ctx);
-      transport_->multicast(endpoint_, target_endpoints, std::move(payload));
-    }
-  }
-  for (ThreadedReplica* replica : targets) post_to(replica, stamp(request));
+  send(primary_peers);
 
   const auto give_up = t0 + qos_snapshot.deadline * config_.give_up_deadline_factor;
 
@@ -365,7 +299,7 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
   // the primary answers first (the common case — the timer sits at the
   // tail of the primary's predicted response pmf).
   bool hedge_fired = false;
-  if (!hedge_peers.empty() || !hedge_targets.empty()) {
+  if (!hedge_peers.empty()) {
     const auto hedge_at = std::min(give_up, t0 + plan.hedge_delay);
     std::unique_lock slock(state->mutex);
     state->cv.wait_until(slock, hedge_at, [&state] { return state->delivered; });
@@ -379,23 +313,7 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
       std::lock_guard lock(mutex_);
       for (ReplicaId id : plan.hedge) repository_.note_dispatch(id);
     }
-    if (!hedge_peers.empty()) {
-      if (coded) {
-        for (const auto& [replica_id, peer] : hedge_peers) {
-          net::Payload payload = net::Payload::make(stamp(request), proto::kRequestBytes);
-          if (request_ctx.valid()) payload.set_span(request_ctx);
-          transport_->unicast(endpoint_, peer, std::move(payload));
-        }
-      } else {
-        std::vector<EndpointId> hedge_endpoints;
-        hedge_endpoints.reserve(hedge_peers.size());
-        for (const auto& [id, endpoint] : hedge_peers) hedge_endpoints.push_back(endpoint);
-        net::Payload payload = net::Payload::make(request, proto::kRequestBytes);
-        if (request_ctx.valid()) payload.set_span(request_ctx);
-        transport_->multicast(endpoint_, hedge_endpoints, std::move(payload));
-      }
-    }
-    for (ThreadedReplica* replica : hedge_targets) post_to(replica, stamp(request));
+    send(hedge_peers);
   }
 
   // Wait for the completing reply (the first one, unless a non-default
@@ -432,40 +350,20 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
              already_replied.end();
     };
     std::size_t sent = 0;
-    if (transport_ != nullptr) {
-      auto cancel_peers = [&](const std::vector<std::pair<ReplicaId, EndpointId>>& peers) {
-        for (const auto& [id, endpoint] : peers) {
-          if (replied(id)) continue;
-          transport_->unicast(endpoint_, endpoint,
-                              net::Payload::make(cancel, proto::kCancelBytes));
-          ++sent;
-        }
-      };
-      cancel_peers(primary_peers);
-      if (hedge_fired) cancel_peers(hedge_peers);
-    } else {
-      auto cancel_targets = [&](const std::vector<ThreadedReplica*>& list) {
-        for (ThreadedReplica* replica : list) {
-          if (replied(replica->id())) continue;
-          Duration out_delay;
-          {
-            std::lock_guard lock(mutex_);
-            out_delay = config_.net.sample(rng_);
-          }
-          executor_.post_after(out_delay, [replica, id = request.id, client = request.client] {
-            replica->cancel(id, client);
-          });
-          ++sent;
-        }
-      };
-      cancel_targets(targets);
-      if (hedge_fired) cancel_targets(hedge_targets);
-    }
+    auto cancel_peers = [&](const std::vector<std::pair<ReplicaId, EndpointId>>& peers) {
+      for (const auto& [id, endpoint] : peers) {
+        if (replied(id)) continue;
+        transport_->unicast(endpoint_, endpoint, net::Payload::make(cancel, proto::kCancelBytes));
+        ++sent;
+      }
+    };
+    cancel_peers(primary_peers);
+    if (hedge_fired) cancel_peers(hedge_peers);
     outcome.cancels_sent = sent;
     cancels_sent_.fetch_add(sent, std::memory_order_relaxed);
   }
 
-  if (transport_ != nullptr) {
+  {
     std::lock_guard lock(mutex_);
     outstanding_.erase(request.id);
   }
@@ -595,7 +493,7 @@ void ThreadedClient::remove_replica(ReplicaId id) {
   std::lock_guard lock(mutex_);
   repository_.remove_replica(id);
   model_cache_->invalidate(id);
-  std::erase_if(replicas_, [id](const ThreadedReplica* r) { return r->id() == id; });
+  peer_replicas_.erase(id);
 }
 
 void ThreadedClient::set_qos(core::QosSpec qos) {
@@ -603,6 +501,18 @@ void ThreadedClient::set_qos(core::QosSpec qos) {
   std::lock_guard lock(mutex_);
   qos_ = qos;
   tracker_.reset();
+  // A violation of the old QoS says nothing about the new one: no
+  // recovery edge may follow from it (TimingFaultHandler::set_qos).
+  violation_reported_ = false;
+  if (obs_ != nullptr) {
+    obs_->record_alert({.kind = obs::AlertKind::kQosRenegotiated,
+                        .at = obs_->wall_now(),
+                        .client = config_.id,
+                        .replica = {},
+                        .observed = static_cast<double>(count_us(qos_.deadline)),
+                        .threshold = qos_.min_probability,
+                        .detail = "qos renegotiated"});
+  }
 }
 
 double ThreadedClient::timely_fraction() const {

@@ -3,9 +3,10 @@
 // invoke() runs the same pipeline as the simulated timing fault handler —
 // observe repository, select with Algorithm 1 (delta measured from the
 // REAL wall clock, as the paper's implementation does), fan the request
-// out through delay-injecting channels, deliver the first reply, harvest
-// performance data from every reply — and blocks until the first reply or
-// a give-up timeout.
+// out over a net::Transport (LocalTransport in process, UdpTransport
+// across processes), deliver the first reply, harvest performance data
+// from every reply — and blocks until the first reply or a give-up
+// timeout.
 #pragma once
 
 #include <atomic>
@@ -14,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -26,9 +26,7 @@
 #include "core/qos.h"
 #include "core/selection.h"
 #include "net/transport.h"
-#include "runtime/delayed_executor.h"
-#include "runtime/threaded_replica.h"
-#include "stats/variates.h"
+#include "proto/messages.h"
 
 namespace aqua::obs {
 class Counter;
@@ -38,25 +36,11 @@ class Telemetry;
 
 namespace aqua::runtime {
 
-/// Symmetric one-way "network" delay injected on each hop.
-struct NetDelayModel {
-  Duration base = usec(200);
-  Duration jitter_max = usec(100);
-
-  /// Fault-injection hook: when set, every sampled delay is scaled/offset
-  /// through this shared control block — the threaded analogue of a LAN
-  /// spike window, retuned by the scenario engine mid-run.
-  std::shared_ptr<const stats::LoadModulation> modulation;
-
-  [[nodiscard]] Duration sample(Rng& rng) const;
-};
-
 struct ThreadedClientConfig {
   core::RepositoryConfig repository;
   core::SelectionConfig selection;
   core::ModelConfig model;
   core::FailureTrackerConfig failure_tracker;
-  NetDelayModel net;
   /// invoke() returns unanswered after deadline * this factor.
   int give_up_deadline_factor = 4;
 
@@ -78,13 +62,12 @@ struct ThreadedClientConfig {
   /// branch.
   obs::Telemetry* telemetry = nullptr;
 
-  /// Transport mode: when set (non-owning; must outlive the client), the
-  /// client creates its own endpoint on `host` and invoke() multicasts
-  /// requests over the transport instead of submitting to in-process
-  /// replica threads — replicas are discovered via add_peer_replica() or
-  /// the Subscribe/Announce handshake, and a host reported dead by the
-  /// transport is evicted like a membership view change. The in-process
-  /// replica list may then be empty.
+  /// Required (non-owning; must outlive the client, and accept sends from
+  /// any thread). The client creates its own endpoint on `host` and
+  /// invoke() multicasts requests over it. Replicas are discovered via
+  /// add_peer_replica() or the Subscribe/Announce handshake, and a host
+  /// reported dead by the transport is evicted like a membership view
+  /// change.
   net::Transport* transport = nullptr;
   HostId host{};
 };
@@ -113,10 +96,8 @@ class ThreadedClient {
     std::size_t chunks_received = 0;
   };
 
-  /// The replica pointers must outlive the client. The list may be empty
-  /// only in transport mode (config.transport set).
-  ThreadedClient(std::vector<ThreadedReplica*> replicas, core::QosSpec qos, Rng rng,
-                 ThreadedClientConfig config = {});
+  /// `config.transport` must be set. The client starts with no replicas.
+  ThreadedClient(core::QosSpec qos, Rng rng, ThreadedClientConfig config);
   ~ThreadedClient();
 
   ThreadedClient(const ThreadedClient&) = delete;
@@ -129,25 +110,24 @@ class ThreadedClient {
   /// the membership view change).
   void remove_replica(ReplicaId id);
 
-  /// Transport mode: the client's own endpoint on the transport.
+  /// The client's own endpoint on the transport.
   [[nodiscard]] EndpointId endpoint() const { return endpoint_; }
 
-  /// Transport mode: make `replica`, reachable at `endpoint`, a selection
-  /// candidate. Idempotent per replica (later calls update the endpoint).
+  /// Make `replica`, reachable at `endpoint`, a selection candidate.
+  /// Idempotent per replica (later calls update the endpoint).
   void add_peer_replica(ReplicaId replica, EndpointId endpoint);
 
-  /// Transport mode: send a Subscribe to a peer endpoint; its Announce
-  /// reply runs add_peer_replica with the replica behind that address.
+  /// Send a Subscribe to a peer endpoint; its Announce reply runs
+  /// add_peer_replica with the replica behind that address.
   void subscribe_to(EndpointId peer);
 
   void set_qos(core::QosSpec qos);
   [[nodiscard]] const core::QosSpec& qos() const { return qos_; }
 
-  /// Stop message intake: destroy the transport endpoint (joining its
-  /// delivery threads) and shut the delay executor down — after this no
-  /// in-flight hop or datagram can touch a replica or this client. Part
-  /// of ThreadedSystem's phased teardown, called before replica threads
-  /// are joined. Idempotent.
+  /// Stop message intake: destroy the transport endpoint, waiting out a
+  /// delivery in progress — after this no message can touch this client.
+  /// Part of ThreadedSystem's phased teardown, called before replica
+  /// threads are joined. Idempotent.
   void shutdown();
 
   /// Snapshot accessors (thread-safe).
@@ -182,7 +162,6 @@ class ThreadedClient {
   void record_perf(ReplicaId replica, const proto::PerfData& perf, const std::string& method);
   void evict_host(HostId host);
 
-  std::vector<ThreadedReplica*> replicas_;
   core::QosSpec qos_;
   Rng rng_;
   ThreadedClientConfig config_;
@@ -191,15 +170,14 @@ class ThreadedClient {
   std::shared_ptr<core::ModelCache> model_cache_;
   core::ReplicaSelector selector_;
 
-  mutable std::mutex mutex_;  // guards repository_, tracker_, overhead_, replicas_, rng_
+  mutable std::mutex mutex_;  // guards repository_, tracker_, overhead_, rng_
   core::InfoRepository repository_;
   core::TimingFailureTracker tracker_;
   core::OverheadEstimator overhead_;
   std::uint64_t next_request_ = 1;
 
-  /// Transport mode (null otherwise). peer_replicas_ and outstanding_
-  /// are guarded by mutex_; the endpoint is created in the constructor
-  /// and destroyed by shutdown().
+  /// peer_replicas_ and outstanding_ are guarded by mutex_; the endpoint
+  /// is created in the constructor and destroyed by shutdown().
   net::Transport* transport_ = nullptr;
   EndpointId endpoint_{};
   std::atomic<bool> endpoint_destroyed_{false};
@@ -228,11 +206,6 @@ class ThreadedClient {
   obs::Histogram* response_time_histogram_ = nullptr;
   obs::Histogram* selection_overhead_histogram_ = nullptr;
   obs::Counter* td_clamped_counter_ = nullptr;
-
-  /// Declared last so it is destroyed FIRST: the executor's worker runs
-  /// reply hops that lock mutex_ and write repository_, and its shutdown
-  /// joins any in-flight task before the state above is torn down.
-  DelayedExecutor executor_;
 };
 
 }  // namespace aqua::runtime

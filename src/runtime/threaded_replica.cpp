@@ -9,8 +9,9 @@
 namespace aqua::runtime {
 
 ThreadedReplica::ThreadedReplica(ReplicaId id, stats::SamplerPtr service_time, Rng rng,
+                                 net::Transport& transport, const EndpointFactory& factory,
                                  obs::Telemetry* telemetry)
-    : id_(id), service_time_(std::move(service_time)), rng_(std::move(rng)) {
+    : id_(id), service_time_(std::move(service_time)), rng_(std::move(rng)), transport_(transport) {
   AQUA_REQUIRE(service_time_ != nullptr, "replica needs a service-time sampler");
   if (telemetry != nullptr) {
     auto& metrics = telemetry->metrics();
@@ -18,26 +19,82 @@ ThreadedReplica::ThreadedReplica(ReplicaId id, stats::SamplerPtr service_time, R
     replies_counter_ = &metrics.counter("threaded_replica.replies");
     service_time_histogram_ = &metrics.histogram("threaded_replica.service_time_us");
     queuing_delay_histogram_ = &metrics.histogram("threaded_replica.queuing_delay_us");
+    intake_counter_ = &metrics.counter("replica_endpoint.requests");
+    coded_chunks_counter_ = &metrics.counter("replica_endpoint.coded_chunks");
+    rejected_counter_ = &metrics.counter("replica_endpoint.rejected");
+    cancels_purged_counter_ = &metrics.counter("replica_endpoint.cancels_purged");
+    cancels_ignored_counter_ = &metrics.counter("replica_endpoint.cancels_ignored");
+    subscribes_counter_ = &metrics.counter("replica_endpoint.subscribes");
+    sent_replies_counter_ = &metrics.counter("replica_endpoint.replies");
+    queue_length_gauge_ = &metrics.gauge("replica_endpoint.queue_length");
     if (telemetry->spans_enabled()) span_sink_ = telemetry;
   }
-  // The worker starts only after the metric pointers are resolved, so it
-  // never races their initialisation.
+  // Intake and the worker start only after the metric pointers are
+  // resolved, so neither races their initialisation; the worker also
+  // finds endpoint_ set.
+  endpoint_ = factory(
+      [this](EndpointId from, const net::Payload& message) { on_receive(from, message); });
   thread_ = std::thread([this] { worker(); });
 }
 
+ThreadedReplica::ThreadedReplica(ReplicaId id, stats::SamplerPtr service_time, Rng rng,
+                                 net::Transport& transport, HostId host,
+                                 obs::Telemetry* telemetry)
+    : ThreadedReplica(
+          id, std::move(service_time), std::move(rng), transport,
+          [&transport, host](net::ReceiveFn fn) {
+            return transport.create_endpoint(host, std::move(fn));
+          },
+          telemetry) {}
+
 ThreadedReplica::~ThreadedReplica() {
+  shutdown();
   crash();
   if (thread_.joinable()) thread_.join();
 }
 
-bool ThreadedReplica::submit(const proto::Request& request, ReplyFn on_reply,
+void ThreadedReplica::shutdown() {
+  if (!shut_down_.exchange(true)) transport_.destroy_endpoint(endpoint_);
+}
+
+bool ThreadedReplica::submit(const proto::Request& request, EndpointId reply_to,
                              obs::SpanContext span) {
-  AQUA_REQUIRE(on_reply != nullptr, "reply callback must be callable");
   if (!alive_.load()) return false;
   const bool pushed =
-      queue_.push(Job{request, std::move(on_reply), std::chrono::steady_clock::now(), span});
+      queue_.push(Job{request, reply_to, std::chrono::steady_clock::now(), span});
   if (pushed && requests_counter_ != nullptr) requests_counter_->add();
   return pushed;
+}
+
+void ThreadedReplica::on_receive(EndpointId from, const net::Payload& message) {
+  if (const auto* request = message.get_if<proto::Request>()) {
+    if (intake_counter_ != nullptr) {
+      intake_counter_->add();
+      // Chunk demand: coded k-of-n dispatches, vs whole-job requests.
+      if (request->code_k > 0) coded_chunks_counter_->add();
+    }
+    const bool accepted = submit(*request, from, message.span());
+    if (intake_counter_ != nullptr) {
+      if (!accepted) rejected_counter_->add();
+      queue_length_gauge_->set(static_cast<double>(queue_length()));
+    }
+    return;
+  }
+  if (const auto* cancel_msg = message.get_if<proto::Cancel>()) {
+    // Best-effort: purges the queued copy if service has not started;
+    // otherwise the reply is already on its way and the client drops it.
+    const bool purged = cancel(cancel_msg->request, cancel_msg->client);
+    if (intake_counter_ != nullptr) {
+      (purged ? cancels_purged_counter_ : cancels_ignored_counter_)->add();
+      queue_length_gauge_->set(static_cast<double>(queue_length()));
+    }
+    return;
+  }
+  if (message.get_if<proto::Subscribe>() != nullptr) {
+    if (subscribes_counter_ != nullptr) subscribes_counter_->add();
+    transport_.unicast(endpoint_, from,
+                       net::Payload::make(proto::Announce{id_, endpoint_}, proto::kAnnounceBytes));
+  }
 }
 
 std::size_t ThreadedReplica::queue_length() const { return queue_.size(); }
@@ -124,7 +181,17 @@ void ThreadedReplica::worker() {
                                .start = dequeue,
                                .end = finish});
     }
-    job->on_reply(reply);
+    if (job->reply_to == EndpointId{}) continue;
+    net::Payload payload = net::Payload::make(reply, proto::kReplyBytes);
+    if (job->span.valid()) {
+      payload.set_span({.trace_id = job->span.trace_id,
+                        .parent_span_id = job->span.parent_span_id,
+                        .leg = obs::SpanKind::kReplyLeg,
+                        .replica = id_});
+    }
+    if (sent_replies_counter_ != nullptr) sent_replies_counter_->add();
+    // LocalTransport and UdpTransport accept sends from any thread.
+    transport_.unicast(endpoint_, job->reply_to, std::move(payload));
   }
 }
 

@@ -11,6 +11,10 @@ namespace aqua::runtime {
 
 ThreadedSystem::ThreadedSystem(ThreadedSystemConfig config)
     : config_(config), rng_(config.seed) {
+  if (config_.transport == nullptr) {
+    local_transport_ = std::make_unique<LocalTransport>(config_.net, rng_.fork("net"));
+    config_.transport = local_transport_.get();
+  }
   if (config_.client.telemetry == nullptr) config_.client.telemetry = config_.telemetry;
   if (config_.scrape_port >= 0 && config_.client.telemetry != nullptr) {
     scrape_ = std::make_unique<obs::ScrapeServer>(
@@ -20,53 +24,39 @@ ThreadedSystem::ThreadedSystem(ThreadedSystemConfig config)
 
 ThreadedSystem::~ThreadedSystem() {
   // Phased teardown. The scrape server goes first so no HTTP snapshot
-  // races teardown. Then client executors and endpoints: once shut down,
-  // no delayed hop or datagram can submit to a replica or record a
-  // reply. Then replica endpoints (no datagram can reach a worker), then
-  // replica workers (an in-flight reply degrades to a counted transport
-  // drop and still finds the clients alive), then the clients.
+  // races teardown. Then client endpoints: once shut down, no reply can
+  // be recorded. Then replica endpoints (no message can reach a worker),
+  // then replica workers (an in-flight reply degrades to a counted
+  // transport drop and still finds the clients alive), then the clients,
+  // and last an owned transport.
   scrape_.reset();
   for (auto& client : clients_) client->shutdown();
-  for (auto& endpoint : replica_endpoints_) endpoint->shutdown();
+  for (auto& replica : replicas_) replica->shutdown();
   replicas_.clear();
-  replica_endpoints_.clear();
   clients_.clear();
 }
 
 ThreadedReplica& ThreadedSystem::add_replica(stats::SamplerPtr service_time) {
   const ReplicaId id = replica_ids_.next();
-  replicas_.push_back(std::make_unique<ThreadedReplica>(id, std::move(service_time),
-                                                        rng_.fork("replica").fork(id.value()),
-                                                        config_.telemetry));
-  if (config_.transport != nullptr) {
-    // One host per replica, so transport liveness maps 1:1 to replicas.
-    replica_endpoints_.push_back(std::make_unique<ReplicaEndpoint>(
-        *config_.transport, *replicas_.back(), HostId{id.value()}));
-  }
+  // One host per replica, so transport liveness maps 1:1 to replicas.
+  replicas_.push_back(std::make_unique<ThreadedReplica>(
+      id, std::move(service_time), rng_.fork("replica").fork(id.value()), *config_.transport,
+      HostId{id.value()}, config_.telemetry));
   return *replicas_.back();
 }
 
 ThreadedClient& ThreadedSystem::add_client(core::QosSpec qos) {
   AQUA_REQUIRE(!replicas_.empty(), "add replicas before clients");
-  std::vector<ThreadedReplica*> replica_ptrs;
   ThreadedClientConfig client_config = config_.client;
   client_config.id = client_ids_.next();  // distinct trace-id namespaces
-  if (config_.transport != nullptr) {
-    client_config.transport = config_.transport;
-    client_config.host = HostId{1'000 + client_config.id.value()};  // clear of replica hosts
-  } else {
-    replica_ptrs.reserve(replicas_.size());
-    for (auto& replica : replicas_) replica_ptrs.push_back(replica.get());
-  }
+  client_config.transport = config_.transport;
+  client_config.host = HostId{1'000 + client_config.id.value()};  // clear of replica hosts
   clients_.push_back(std::make_unique<ThreadedClient>(
-      std::move(replica_ptrs), qos, rng_.fork("client").fork(clients_.size() + 1),
-      client_config));
-  if (config_.transport != nullptr) {
-    // In-process assembly: wire the directory directly — deterministic,
-    // no Subscribe/Announce round trip to wait for.
-    for (auto& endpoint : replica_endpoints_) {
-      clients_.back()->add_peer_replica(endpoint->replica().id(), endpoint->endpoint());
-    }
+      qos, rng_.fork("client").fork(clients_.size() + 1), client_config));
+  // In-process assembly: wire the directory directly — deterministic, no
+  // Subscribe/Announce round trip to wait for.
+  for (auto& replica : replicas_) {
+    clients_.back()->add_peer_replica(replica->id(), replica->endpoint());
   }
   return *clients_.back();
 }
@@ -75,13 +65,6 @@ std::vector<ThreadedReplica*> ThreadedSystem::replicas() {
   std::vector<ThreadedReplica*> out;
   out.reserve(replicas_.size());
   for (auto& r : replicas_) out.push_back(r.get());
-  return out;
-}
-
-std::vector<ReplicaEndpoint*> ThreadedSystem::replica_endpoints() {
-  std::vector<ReplicaEndpoint*> out;
-  out.reserve(replica_endpoints_.size());
-  for (auto& e : replica_endpoints_) out.push_back(e.get());
   return out;
 }
 

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "runtime/replica_endpoint.h"
+#include "runtime/local_transport.h"
 #include "runtime/threaded_client.h"
 #include "runtime/threaded_replica.h"
 
@@ -21,6 +21,9 @@ namespace aqua::runtime {
 struct ThreadedSystemConfig {
   std::uint64_t seed = 1;
   ThreadedClientConfig client;
+  /// One-way delay of each hop on the in-process LocalTransport (unused
+  /// when `transport` is set).
+  NetDelayModel net;
 
   /// Optional telemetry hub (non-owning; must outlive the system),
   /// shared by every replica and — unless client.telemetry is set —
@@ -32,13 +35,11 @@ struct ThreadedSystemConfig {
   /// (0 picks an ephemeral port; see ScrapeServer).
   int scrape_port = -1;
 
-  /// When set (non-owning; must outlive the system), every replica gets a
-  /// transport endpoint (ReplicaEndpoint) and every client multicasts
-  /// requests over the transport instead of submitting to replica
-  /// threads directly. Null keeps the direct in-process path,
-  /// bit-identical to the pre-transport runtime. The transport must be
-  /// safe for sends from arbitrary threads (UdpTransport is; the
-  /// simulated Lan is not — it belongs to the simulator's single thread).
+  /// The transport every replica and client endpoint lives on
+  /// (non-owning; must outlive the system). Null builds an in-process
+  /// LocalTransport with `net`. The transport must be safe for sends from
+  /// arbitrary threads (UdpTransport is; the simulated Lan is not — it
+  /// belongs to the simulator's single thread).
   net::Transport* transport = nullptr;
 };
 
@@ -68,14 +69,12 @@ class ThreadedSystem {
   /// Add a replica worker thread with the given service-time sampler.
   ThreadedReplica& add_replica(stats::SamplerPtr service_time);
 
-  /// Add a client over all replicas added SO FAR.
+  /// Add a client over all replicas added SO FAR (each on its own host,
+  /// so transport liveness maps 1:1 to replicas).
   ThreadedClient& add_client(core::QosSpec qos);
 
   [[nodiscard]] std::vector<ThreadedReplica*> replicas();
   [[nodiscard]] std::vector<ThreadedClient*> clients();
-
-  /// Transport mode: the endpoint wrappers, index-aligned with replicas().
-  [[nodiscard]] std::vector<ReplicaEndpoint*> replica_endpoints();
 
   /// Run every client's closed-loop workload concurrently (one driver
   /// thread per client): `requests` requests each, sleeping `think`
@@ -88,10 +87,12 @@ class ThreadedSystem {
  private:
   ThreadedSystemConfig config_;
   Rng rng_;
+  /// Built when config.transport is null; declared before the replicas
+  /// and clients so it outlives their endpoints.
+  std::unique_ptr<LocalTransport> local_transport_;
   IdGenerator<ReplicaId> replica_ids_;
   IdGenerator<ClientId> client_ids_;
   std::vector<std::unique_ptr<ThreadedReplica>> replicas_;
-  std::vector<std::unique_ptr<ReplicaEndpoint>> replica_endpoints_;
   std::vector<std::unique_ptr<ThreadedClient>> clients_;
   std::unique_ptr<obs::ScrapeServer> scrape_;
 };

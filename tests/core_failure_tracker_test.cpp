@@ -59,8 +59,8 @@ TEST(FailureTrackerTest, ZeroMinProbabilityNeverViolates) {
 
 TEST(FailureTrackerTest, ValidatesProbability) {
   TimingFailureTracker tracker;
-  EXPECT_THROW(tracker.violates(-0.1), std::invalid_argument);
-  EXPECT_THROW(tracker.violates(1.1), std::invalid_argument);
+  EXPECT_THROW((void)tracker.violates(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)tracker.violates(1.1), std::invalid_argument);
 }
 
 TEST(FailureTrackerTest, WindowedModeForgetsOldOutcomes) {

@@ -53,7 +53,7 @@ TEST_F(ModelCacheTest, SteadyStateLookupsAreHits) {
 TEST_F(ModelCacheTest, NewPerfSampleInvalidates) {
   repo_.add_replica(ReplicaId{1});
   repo_.record_perf(ReplicaId{1}, sample(100), TimePoint{});
-  model_.probability_by(repo_.observe(ReplicaId{1}), msec(150));
+  (void)model_.probability_by(repo_.observe(ReplicaId{1}), msec(150));
 
   repo_.record_perf(ReplicaId{1}, sample(300), TimePoint{});
   // The stale entry is replaced, and the fresh pmf reflects the new window.
@@ -98,13 +98,13 @@ TEST_F(ModelCacheTest, QueueLengthChangeInvalidatesEveryMethod) {
   repo_.add_replica(ReplicaId{1});
   repo_.record_perf(ReplicaId{1}, sample(100), TimePoint{}, "alpha");
   repo_.record_perf(ReplicaId{1}, sample(100), TimePoint{}, "beta");
-  model_.probability_by(repo_.observe(ReplicaId{1}, "alpha"), msec(150));
-  model_.probability_by(repo_.observe(ReplicaId{1}, "beta"), msec(150));
+  (void)model_.probability_by(repo_.observe(ReplicaId{1}, "alpha"), msec(150));
+  (void)model_.probability_by(repo_.observe(ReplicaId{1}, "beta"), msec(150));
   const auto misses_before = cache_->stats().misses;
 
   repo_.record_perf(ReplicaId{1}, sample(100, 0, /*queue_length=*/3), TimePoint{}, "beta");
-  model_.probability_by(repo_.observe(ReplicaId{1}, "alpha"), msec(150));
-  model_.probability_by(repo_.observe(ReplicaId{1}, "beta"), msec(150));
+  (void)model_.probability_by(repo_.observe(ReplicaId{1}, "alpha"), msec(150));
+  (void)model_.probability_by(repo_.observe(ReplicaId{1}, "beta"), msec(150));
   EXPECT_EQ(cache_->stats().misses, misses_before + 2);
 }
 
@@ -114,9 +114,9 @@ TEST_F(ModelCacheTest, InvalidateDropsAllEntriesOfAReplica) {
   repo_.record_perf(ReplicaId{1}, sample(100), TimePoint{}, "alpha");
   repo_.record_perf(ReplicaId{1}, sample(100), TimePoint{}, "beta");
   repo_.record_perf(ReplicaId{2}, sample(100), TimePoint{});
-  model_.probability_by(repo_.observe(ReplicaId{1}, "alpha"), msec(150));
-  model_.probability_by(repo_.observe(ReplicaId{1}, "beta"), msec(150));
-  model_.probability_by(repo_.observe(ReplicaId{2}), msec(150));
+  (void)model_.probability_by(repo_.observe(ReplicaId{1}, "alpha"), msec(150));
+  (void)model_.probability_by(repo_.observe(ReplicaId{1}, "beta"), msec(150));
+  (void)model_.probability_by(repo_.observe(ReplicaId{2}), msec(150));
   ASSERT_EQ(cache_->size(), 3u);
 
   // Membership change: replica 1 leaves the repository and the cache.
@@ -126,7 +126,7 @@ TEST_F(ModelCacheTest, InvalidateDropsAllEntriesOfAReplica) {
   EXPECT_EQ(cache_->stats().evictions, 2u);
 
   // Replica 2's entry survives.
-  model_.probability_by(repo_.observe(ReplicaId{2}), msec(150));
+  (void)model_.probability_by(repo_.observe(ReplicaId{2}), msec(150));
   EXPECT_EQ(cache_->stats().hits, 1u);
 }
 
@@ -137,7 +137,7 @@ TEST_F(ModelCacheTest, RemovedThenReaddedReplicaNeverAliases) {
   repo_.add_replica(ReplicaId{1});
   repo_.record_perf(ReplicaId{1}, sample(100), TimePoint{});
   const auto first = repo_.generation(ReplicaId{1});
-  model_.probability_by(repo_.observe(ReplicaId{1}), msec(150));
+  (void)model_.probability_by(repo_.observe(ReplicaId{1}), msec(150));
 
   repo_.remove_replica(ReplicaId{1});
   repo_.add_replica(ReplicaId{1});
@@ -179,12 +179,12 @@ TEST_F(ModelCacheTest, HandBuiltObservationsBypassTheCache) {
 TEST_F(ModelCacheTest, ClearEmptiesTheCache) {
   repo_.add_replica(ReplicaId{1});
   repo_.record_perf(ReplicaId{1}, sample(100), TimePoint{});
-  model_.probability_by(repo_.observe(ReplicaId{1}), msec(150));
+  (void)model_.probability_by(repo_.observe(ReplicaId{1}), msec(150));
   ASSERT_EQ(cache_->size(), 1u);
   cache_->clear();
   EXPECT_EQ(cache_->size(), 0u);
   EXPECT_EQ(cache_->stats().evictions, 1u);
-  model_.probability_by(repo_.observe(ReplicaId{1}), msec(150));
+  (void)model_.probability_by(repo_.observe(ReplicaId{1}), msec(150));
   EXPECT_EQ(cache_->stats().misses, 2u);
 }
 

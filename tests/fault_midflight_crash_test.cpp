@@ -14,8 +14,7 @@
 #include "net/lan.h"
 #include "net/payload.h"
 #include "replica/service_model.h"
-#include "runtime/threaded_client.h"
-#include "runtime/threaded_replica.h"
+#include "runtime/local_transport.h"
 #include "runtime/threaded_system.h"
 #include "sim/simulator.h"
 #include "stats/variates.h"
@@ -71,12 +70,18 @@ TEST(MidflightCrashSimTest, RequestInFlightToCrashingReplicaIsAbsorbedByTheOther
 }
 
 TEST(MidflightCrashThreadedTest, SubmitToCrashedReplicaFailsAndQueuedWorkNeverReplies) {
-  runtime::ThreadedReplica replica{ReplicaId{1}, stats::make_constant(msec(50)), Rng{1}};
   std::atomic<int> replies{0};
+  runtime::LocalTransport transport{runtime::NetDelayModel{}, Rng{2}};
+  const EndpointId client = transport.create_endpoint(
+      HostId{2}, [&](EndpointId, const net::Payload& message) {
+        if (message.get_if<proto::Reply>() != nullptr) ++replies;
+      });
+  runtime::ThreadedReplica replica{ReplicaId{1}, stats::make_constant(msec(50)), Rng{1},
+                                   transport, HostId{1}};
 
   proto::Request request;
   request.id = RequestId{1};
-  ASSERT_TRUE(replica.submit(request, [&](const proto::Reply&) { ++replies; }));
+  ASSERT_TRUE(replica.submit(request, client));
 
   // The request is queued (50ms of service ahead of it). Crash now: the
   // queue is dropped, the reply must never arrive.
@@ -85,7 +90,7 @@ TEST(MidflightCrashThreadedTest, SubmitToCrashedReplicaFailsAndQueuedWorkNeverRe
 
   proto::Request late;
   late.id = RequestId{2};
-  EXPECT_FALSE(replica.submit(late, [&](const proto::Reply&) { ++replies; }));
+  EXPECT_FALSE(replica.submit(late, client));
 
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   EXPECT_EQ(replies.load(), 0);
@@ -93,8 +98,8 @@ TEST(MidflightCrashThreadedTest, SubmitToCrashedReplicaFailsAndQueuedWorkNeverRe
 
 TEST(MidflightCrashThreadedTest, ClientFallsBackToSurvivorsWhenSelectedReplicaIsDead) {
   runtime::ThreadedSystemConfig config;
-  config.client.net.base = usec(500);  // generous "wire" so the crash races nothing
-  config.client.net.jitter_max = usec(100);
+  config.net.base = usec(500);  // generous "wire" so the crash races nothing
+  config.net.jitter_max = usec(100);
   runtime::ThreadedSystem system{config};
   runtime::ThreadedReplica& doomed = system.add_replica(stats::make_constant(msec(2)));
   system.add_replica(stats::make_constant(msec(2)));

@@ -55,8 +55,8 @@ TEST(ModelCacheInvalidationTest, StaleGenerationMissesAndReplaces) {
 
 TEST(ModelCacheInvalidationTest, ConcurrentInvokesAndRemovalsStayCoherent) {
   runtime::ThreadedSystemConfig config;
-  config.client.net.base = usec(100);
-  config.client.net.jitter_max = usec(50);
+  config.net.base = usec(100);
+  config.net.jitter_max = usec(50);
   runtime::ThreadedSystem system{config};
   std::vector<ReplicaId> ids;
   for (int i = 0; i < 4; ++i) {

@@ -125,7 +125,9 @@ TEST(FaultTelemetrySim, LateRepliesAmendRequestRingAndCloseLateSpans) {
       ++late;
       EXPECT_FALSE(s.ok);  // a harvested late reply is never timely
     }
-    if (s.kind == SpanKind::kRequest) EXPECT_FALSE(s.ok);
+    if (s.kind == SpanKind::kRequest) {
+      EXPECT_FALSE(s.ok);
+    }
   }
   EXPECT_EQ(late, 4u);
 }
@@ -134,8 +136,8 @@ TEST(FaultTelemetryThreaded, CrashMidRunKeepsEveryTraceClosed) {
   obs::Telemetry telemetry;
   runtime::ThreadedSystemConfig config;
   config.telemetry = &telemetry;
-  config.client.net.base = usec(500);
-  config.client.net.jitter_max = usec(100);
+  config.net.base = usec(500);
+  config.net.jitter_max = usec(100);
   runtime::ThreadedSystem system{config};
   runtime::ThreadedReplica& doomed = system.add_replica(stats::make_constant(msec(2)));
   system.add_replica(stats::make_constant(msec(2)));

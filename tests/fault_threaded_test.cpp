@@ -19,8 +19,8 @@ namespace aqua::fault {
 namespace {
 
 struct ThreadedChaosRig {
-  // hooks must precede system: the config wires hooks.net into every
-  // client's NetDelayModel.
+  // hooks must precede system: the config wires hooks.net into the
+  // system's LocalTransport.
   ThreadedScenarioHooks hooks;
   runtime::ThreadedSystem system;
   std::vector<runtime::ThreadedReplica*> replicas;
@@ -47,9 +47,9 @@ struct ThreadedChaosRig {
                                                    std::uint64_t seed) {
     runtime::ThreadedSystemConfig config;
     config.seed = seed;
-    config.client.net.base = usec(300);
-    config.client.net.jitter_max = usec(100);
-    config.client.net.modulation = hooks.net;
+    config.net.base = usec(300);
+    config.net.jitter_max = usec(100);
+    config.net.modulation = hooks.net;
     return config;
   }
 };

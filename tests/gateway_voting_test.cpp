@@ -44,7 +44,7 @@ class VotingTest : public ::testing::Test {
 };
 
 TEST_F(VotingTest, DeliversMajorityValue) {
-  for (std::uint64_t i = 1; i <= 3; ++i) add_replica(i, msec(10 * i));
+  for (std::uint64_t i = 1; i <= 3; ++i) add_replica(i, msec(10 * static_cast<std::int64_t>(i)));
   auto handler = make_handler();
   VotedReply out;
   handler->invoke(42, [&](const VotedReply& r) { out = r; });

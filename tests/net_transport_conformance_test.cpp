@@ -1,11 +1,13 @@
 // Transport conformance: the behaviour every net::Transport backend must
-// share, run against both the simulated Lan and the real-socket
-// UdpTransport — delivery, multicast fan-out payload integrity, drop
-// accounting for destroyed endpoints, and the host-liveness signal. The
-// backend-specific contracts ride along: FIFO-per-pair ordering (sim
-// only — UDP makes no ordering promise) and SpanContext surviving the
-// UDP wire format (the sim hands payloads across by pointer, so only the
-// socket backend actually marshals it).
+// share, run against the simulated Lan, the real-socket UdpTransport and
+// the threaded runtime's in-process LocalTransport — delivery, multicast
+// fan-out payload integrity, drop accounting for destroyed endpoints, and
+// the host-liveness signal. The backend-specific contracts ride along:
+// FIFO-per-pair ordering (sim only — UDP makes no ordering promise),
+// SpanContext surviving the UDP wire format (the sim hands payloads
+// across by pointer, so only the socket backend actually marshals it),
+// and LocalTransport's destroy_endpoint waiting out a delivery in
+// progress.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,7 +24,9 @@
 #include "net/lan.h"
 #include "net/udp_transport.h"
 #include "obs/span.h"
+#include "obs/telemetry.h"
 #include "proto/messages.h"
+#include "runtime/local_transport.h"
 #include "sim/simulator.h"
 
 namespace aqua::net {
@@ -444,6 +448,204 @@ TEST_F(UdpConformance, InboxOverflowIsACountedQueueDrop) {
   }));
   EXPECT_GE(udp.messages_queue_dropped(), 1u);
   EXPECT_EQ(udp.messages_dropped(), udp.messages_queue_dropped());
+}
+
+// ---------------------------------------------------------------------------
+// In-process LocalTransport backend (threaded runtime)
+// ---------------------------------------------------------------------------
+
+class LocalConformance : public ::testing::Test {
+ protected:
+  runtime::LocalTransport local_{runtime::NetDelayModel{}, Rng{1}};
+
+  std::function<void(std::size_t)> flush(Inbox& inbox) {
+    return [&inbox](std::size_t at_least) {
+      if (at_least == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return;
+      }
+      ASSERT_TRUE(wait_for([&] { return inbox.size() >= at_least; }));
+    };
+  }
+};
+
+TEST_F(LocalConformance, UnicastDelivery) {
+  obs::Telemetry telemetry;
+  local_.set_telemetry(&telemetry);
+  Inbox inbox;
+  check_unicast_delivery(local_, inbox, flush(inbox));
+  EXPECT_EQ(telemetry.metrics().counter("lan.sent").value(), 1u);
+  EXPECT_EQ(telemetry.metrics().counter("lan.delivered").value(), 1u);
+  local_.set_telemetry(nullptr);
+}
+
+TEST_F(LocalConformance, MulticastFanoutPreservesPayload) {
+  check_multicast_integrity(local_, [this](std::size_t at_least) {
+    ASSERT_TRUE(wait_for([&] { return local_.messages_delivered() >= at_least; }));
+  });
+}
+
+TEST_F(LocalConformance, MulticastCopiesShareOneBody) {
+  // Nothing is marshalled in process: every member sees the same body
+  // object, and only the envelope is copied per destination.
+  const EndpointId sender = local_.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  std::mutex mutex;
+  std::vector<const std::string*> bodies;
+  std::vector<EndpointId> members;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    members.push_back(local_.create_endpoint(HostId{10 + i}, [&](EndpointId, const Payload& m) {
+      std::lock_guard lock(mutex);
+      bodies.push_back(m.get_if<std::string>());
+    }));
+  }
+  // The test keeps a copy, so the body outlives the deliveries.
+  const Payload payload = Payload::make(std::string(300, 'q'), 512);
+  local_.multicast(sender, members, payload);
+  ASSERT_TRUE(wait_for([&] {
+    std::lock_guard lock(mutex);
+    return bodies.size() == members.size();
+  }));
+  std::lock_guard lock(mutex);
+  for (const std::string* body : bodies) EXPECT_EQ(body, payload.get_if<std::string>());
+}
+
+TEST_F(LocalConformance, DestroyedEndpointIsACountedDrop) {
+  Inbox inbox;
+  check_destroyed_endpoint_drops(local_, flush(inbox));
+}
+
+TEST_F(LocalConformance, SpanContextIsCarriedOnThePayload) {
+  const EndpointId a = local_.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  std::mutex mutex;
+  std::vector<obs::SpanContext> spans;
+  const EndpointId b = local_.create_endpoint(HostId{2}, [&](EndpointId, const Payload& message) {
+    std::lock_guard lock(mutex);
+    spans.push_back(message.span());
+  });
+
+  Payload payload = Payload::make(std::string{"traced"}, 64);
+  obs::SpanContext ctx;
+  ctx.trace_id = 0xABCDEF0123456789ULL;
+  ctx.parent_span_id = 42;
+  ctx.leg = obs::SpanKind::kRequestLeg;
+  ctx.replica = ReplicaId{5};
+  payload.set_span(ctx);
+  local_.unicast(a, b, std::move(payload));
+
+  ASSERT_TRUE(wait_for([&] {
+    std::lock_guard lock(mutex);
+    return !spans.empty();
+  }));
+  std::lock_guard lock(mutex);
+  EXPECT_EQ(spans[0].trace_id, ctx.trace_id);
+  EXPECT_EQ(spans[0].parent_span_id, ctx.parent_span_id);
+  EXPECT_EQ(spans[0].leg, ctx.leg);
+  EXPECT_EQ(spans[0].replica, ctx.replica);
+}
+
+TEST_F(LocalConformance, ChunkedRequestReplyRoundTrip) {
+  // The replica side answers from inside its callback, as ThreadedReplica
+  // answers a Subscribe: sends from the delivery thread must not block.
+  std::mutex mutex;
+  std::vector<proto::Reply> replies;
+  const EndpointId client = local_.create_endpoint(HostId{1}, [&](EndpointId, const Payload& m) {
+    if (const auto* reply = m.get_if<proto::Reply>()) {
+      std::lock_guard lock(mutex);
+      replies.push_back(*reply);
+    }
+  });
+  EndpointId replica{};
+  replica = local_.create_endpoint(HostId{2}, [&](EndpointId from, const Payload& m) {
+    const auto* request = m.get_if<proto::Request>();
+    ASSERT_NE(request, nullptr);
+    EXPECT_EQ(request->code_k, 2u);
+    proto::Reply reply;
+    reply.request = request->id;
+    reply.replica = ReplicaId{2};
+    reply.method = request->method;
+    reply.chunk = request->chunk;
+    reply.code_id = request->code_id;
+    local_.unicast(replica, from, Payload::make(reply, proto::kReplyBytes));
+  });
+
+  for (std::uint32_t chunk = 0; chunk < 3; ++chunk) {
+    proto::Request request;
+    request.id = RequestId{502};
+    request.client = ClientId{1};
+    request.method = "invoke";
+    request.chunk = chunk;
+    request.code_k = 2;
+    request.code_id = 78;
+    local_.unicast(client, replica, Payload::make(request, proto::kRequestBytes));
+  }
+  ASSERT_TRUE(wait_for([&] {
+    std::lock_guard lock(mutex);
+    return replies.size() >= 3;
+  }));
+
+  std::lock_guard lock(mutex);
+  std::vector<std::uint32_t> chunks;
+  for (const proto::Reply& reply : replies) {
+    EXPECT_EQ(reply.code_id, 78u);
+    chunks.push_back(reply.chunk);
+  }
+  std::sort(chunks.begin(), chunks.end());
+  EXPECT_EQ(chunks, (std::vector<std::uint32_t>{0, 1, 2}));
+}
+
+TEST_F(LocalConformance, DestroyWaitsForACallbackBlockedMidDelivery) {
+  // ThreadedClient::shutdown relies on this: once destroy_endpoint
+  // returns, no callback of the endpoint is running, even one that was
+  // already in flight when it was called.
+  const EndpointId a = local_.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  std::mutex gate;
+  gate.lock();
+  std::atomic<bool> entered{false};
+  std::atomic<bool> finished{false};
+  const EndpointId b = local_.create_endpoint(HostId{2}, [&](EndpointId, const Payload&) {
+    entered.store(true);
+    gate.lock();  // parked until the test releases it
+    gate.unlock();
+    finished.store(true);
+  });
+  local_.unicast(a, b, Payload::make(std::string{"stuck"}, 64));
+  ASSERT_TRUE(wait_for([&] { return entered.load(); }));
+
+  std::atomic<bool> destroyed{false};
+  std::thread destroyer([&] {
+    local_.destroy_endpoint(b);
+    // Read before publishing: the callback must be done by now.
+    EXPECT_TRUE(finished.load());
+    destroyed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(destroyed.load());  // still waiting on the parked callback
+  EXPECT_FALSE(local_.endpoint_exists(b));
+  gate.unlock();
+  destroyer.join();
+  EXPECT_TRUE(destroyed.load());
+  // Let a callback that destroy_endpoint failed to wait for finish
+  // before the locals it touches go away.
+  EXPECT_TRUE(wait_for([&] { return finished.load(); }));
+}
+
+TEST_F(LocalConformance, CallbackDestroyingItsOwnEndpointReturns) {
+  const EndpointId a = local_.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  std::atomic<bool> returned{false};
+  EndpointId self{};
+  self = local_.create_endpoint(HostId{2}, [&](EndpointId, const Payload&) {
+    local_.destroy_endpoint(self);
+    returned.store(true);
+  });
+  local_.unicast(a, self, Payload::make(std::string{"bye"}, 64));
+  ASSERT_TRUE(wait_for([&] { return returned.load(); }));
+  EXPECT_FALSE(local_.endpoint_exists(self));
+
+  // The delivery thread is still serving other endpoints.
+  Inbox inbox;
+  const EndpointId c = local_.create_endpoint(HostId{3}, inbox.sink());
+  local_.unicast(a, c, Payload::make(std::string{"still here"}, 64));
+  ASSERT_TRUE(wait_for([&] { return inbox.size() == 1; }));
 }
 
 }  // namespace

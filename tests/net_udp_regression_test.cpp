@@ -44,10 +44,10 @@ std::vector<std::uint8_t> make_data_frame(std::uint64_t seq) {
   std::vector<std::uint8_t> body;
   EXPECT_TRUE(encode_payload(Payload::make(std::string{"ping"}, 16), body));
   std::vector<std::uint8_t> frame(kHeaderBytes + body.size());
-  for (int i = 0; i < 4; ++i) frame[i] = static_cast<std::uint8_t>(kMagic >> (8 * i));
+  for (std::size_t i = 0; i < 4; ++i) frame[i] = static_cast<std::uint8_t>(kMagic >> (8 * i));
   frame[4] = kVersion;
   frame[5] = kTypeData;
-  for (int i = 0; i < 8; ++i) frame[6 + i] = static_cast<std::uint8_t>(seq >> (8 * i));
+  for (std::size_t i = 0; i < 8; ++i) frame[6 + i] = static_cast<std::uint8_t>(seq >> (8 * i));
   std::memcpy(frame.data() + kHeaderBytes, body.data(), body.size());
   return frame;
 }

@@ -21,7 +21,6 @@
 #include "obs/scrape.h"
 #include "obs/scrape_client.h"
 #include "obs/telemetry.h"
-#include "runtime/replica_endpoint.h"
 #include "runtime/threaded_client.h"
 #include "runtime/threaded_replica.h"
 #include "stats/variates.h"
@@ -256,10 +255,9 @@ TEST(FleetStitchTest, StitchesGatewayAndReplicaHubsOverUdp) {
   Telemetry replica_telemetry;
   net::UdpTransport replica_transport{udp_config};
   replica_transport.set_telemetry(&replica_telemetry);
-  runtime::ThreadedReplica replica{ReplicaId{1}, stats::make_constant(msec(2)),
-                                   Rng{11}.fork("replica").fork(1), &replica_telemetry};
-  runtime::ReplicaEndpoint endpoint{
-      replica_transport, replica,
+  runtime::ThreadedReplica replica{
+      ReplicaId{1}, stats::make_constant(msec(2)), Rng{11}.fork("replica").fork(1),
+      replica_transport,
       [&replica_transport](net::ReceiveFn fn) {
         return replica_transport.create_endpoint_on(HostId{1}, 0, std::move(fn));
       },
@@ -276,11 +274,10 @@ TEST(FleetStitchTest, StitchesGatewayAndReplicaHubsOverUdp) {
   client_config.transport = &gateway_transport;
   client_config.id = ClientId{1};
   client_config.host = HostId{1'000};
-  runtime::ThreadedClient client{std::vector<runtime::ThreadedReplica*>{},
-                                 core::QosSpec{msec(100), 0.5},
-                                 Rng{11}.fork("client").fork(1), client_config};
+  runtime::ThreadedClient client{core::QosSpec{msec(100), 0.5}, Rng{11}.fork("client").fork(1),
+                                 client_config};
   client.subscribe_to(gateway_transport.register_peer(
-      "127.0.0.1", replica_transport.endpoint_port(endpoint.endpoint())));
+      "127.0.0.1", replica_transport.endpoint_port(replica.endpoint())));
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{5};
   while (client.known_replicas() < 1 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds{5});
@@ -302,19 +299,15 @@ TEST(FleetStitchTest, StitchesGatewayAndReplicaHubsOverUdp) {
   ASSERT_TRUE(snapshot.nodes[1].reachable) << snapshot.nodes[1].error;
 
   // The replica hub recorded server-side spans under the gateway's
-  // propagated trace ids: queue wait + service from the worker, and the
-  // zero-duration reply hand-off marker from the endpoint.
+  // propagated trace ids: queue wait + service from the worker.
   bool replica_has_queue = false;
   bool replica_has_service = false;
-  bool replica_has_reply_marker = false;
   for (const SpanRecord& s : snapshot.nodes[1].data.spans) {
     replica_has_queue |= s.kind == SpanKind::kQueueWait;
     replica_has_service |= s.kind == SpanKind::kService;
-    replica_has_reply_marker |= s.kind == SpanKind::kReplyLeg;
   }
   EXPECT_TRUE(replica_has_queue);
   EXPECT_TRUE(replica_has_service);
-  EXPECT_TRUE(replica_has_reply_marker);
   EXPECT_EQ(snapshot.counters.at("replica_endpoint.replies"), replica.serviced());
 
   // Loss-free loopback: every answered request stitches end-to-end.

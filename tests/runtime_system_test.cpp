@@ -9,8 +9,8 @@ namespace {
 
 ThreadedSystemConfig fast_config() {
   ThreadedSystemConfig cfg;
-  cfg.client.net.base = usec(100);
-  cfg.client.net.jitter_max = usec(50);
+  cfg.net.base = usec(100);
+  cfg.net.jitter_max = usec(50);
   return cfg;
 }
 

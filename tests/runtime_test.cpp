@@ -6,16 +6,18 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/telemetry.h"
 #include "runtime/blocking_queue.h"
 #include "runtime/delayed_executor.h"
-#include "runtime/threaded_client.h"
-#include "runtime/threaded_replica.h"
+#include "runtime/local_transport.h"
+#include "runtime/threaded_system.h"
 
 namespace aqua::runtime {
 namespace {
@@ -30,6 +32,16 @@ Duration median(std::vector<Duration> samples) {
 /// kernel's default 50 µs timer slack overshoots this on every wait; at
 /// the runtime's 1 ns slack only the wake-up itself remains.
 const Duration kWakeBound = usec(25);
+
+/// Poll `pred` for up to 5 s.
+bool wait_until(const std::function<bool()>& pred) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
+}
 
 TEST(BlockingQueueTest, PushPopSingleThread) {
   BlockingQueue<int> q;
@@ -151,17 +163,34 @@ TEST(DelayedExecutorTest, TasksRunOnTime) {
   EXPECT_LT(median(lateness), kWakeBound);
 }
 
+/// Zero-delay hops, for tests that look only at the replica.
+NetDelayModel no_delay() {
+  NetDelayModel net;
+  net.base = Duration::zero();
+  net.jitter_max = Duration::zero();
+  return net;
+}
+
+/// An endpoint callback that hands every proto::Reply to `fn`.
+net::ReceiveFn on_reply(std::function<void(const proto::Reply&)> fn) {
+  return [fn = std::move(fn)](EndpointId, const net::Payload& message) {
+    if (const auto* reply = message.get_if<proto::Reply>()) fn(*reply);
+  };
+}
+
 TEST(ThreadedReplicaTest, ServicesAndReportsPerf) {
-  ThreadedReplica replica{ReplicaId{1}, stats::make_constant(msec(5)), Rng{1}};
   std::atomic<bool> got{false};
   proto::Reply captured;
   std::mutex m;
-  proto::Request request{RequestId{1}, ClientId{1}, "invoke", 42};
-  ASSERT_TRUE(replica.submit(request, [&](const proto::Reply& reply) {
+  LocalTransport transport{no_delay(), Rng{9}};
+  const EndpointId client = transport.create_endpoint(HostId{2}, on_reply([&](const proto::Reply& reply) {
     std::lock_guard lock(m);
     captured = reply;
     got = true;
   }));
+  ThreadedReplica replica{ReplicaId{1}, stats::make_constant(msec(5)), Rng{1}, transport, HostId{1}};
+  proto::Request request{RequestId{1}, ClientId{1}, "invoke", 42};
+  ASSERT_TRUE(replica.submit(request, client));
   for (int i = 0; i < 100 && !got; ++i) std::this_thread::sleep_for(std::chrono::milliseconds(2));
   ASSERT_TRUE(got.load());
   std::lock_guard lock(m);
@@ -172,13 +201,16 @@ TEST(ThreadedReplicaTest, ServicesAndReportsPerf) {
 }
 
 TEST(ThreadedReplicaTest, CrashStopsService) {
-  ThreadedReplica replica{ReplicaId{1}, stats::make_constant(msec(50)), Rng{1}};
   std::atomic<int> replies{0};
+  LocalTransport transport{no_delay(), Rng{9}};
+  const EndpointId client =
+      transport.create_endpoint(HostId{2}, on_reply([&](const proto::Reply&) { ++replies; }));
+  ThreadedReplica replica{ReplicaId{1}, stats::make_constant(msec(50)), Rng{1}, transport, HostId{1}};
   proto::Request request{RequestId{1}, ClientId{1}, "invoke", 0};
-  replica.submit(request, [&](const proto::Reply&) { ++replies; });
+  replica.submit(request, client);
   replica.crash();
   EXPECT_FALSE(replica.alive());
-  EXPECT_FALSE(replica.submit(request, [&](const proto::Reply&) { ++replies; }));
+  EXPECT_FALSE(replica.submit(request, client));
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   EXPECT_EQ(replies.load(), 0);
 }
@@ -188,17 +220,19 @@ TEST(ThreadedReplicaTest, ServiceTimeIsTheDraw) {
   // service, not the draw plus timer slack.
   const Duration draw = usec(20);
   constexpr std::size_t kJobs = 200;
-  ThreadedReplica replica{ReplicaId{1}, stats::make_constant(draw), Rng{1}};
   std::mutex m;
   std::condition_variable done;
   std::vector<Duration> service;
+  LocalTransport transport{no_delay(), Rng{9}};
+  const EndpointId client = transport.create_endpoint(HostId{2}, on_reply([&](const proto::Reply& reply) {
+    std::lock_guard lock(m);
+    service.push_back(reply.perf.service_time);
+    done.notify_one();
+  }));
+  ThreadedReplica replica{ReplicaId{1}, stats::make_constant(draw), Rng{1}, transport, HostId{1}};
   for (std::size_t i = 0; i < kJobs; ++i) {
     const proto::Request request{RequestId{i + 1}, ClientId{1}, "invoke", 0};
-    ASSERT_TRUE(replica.submit(request, [&](const proto::Reply& reply) {
-      std::lock_guard lock(m);
-      service.push_back(reply.perf.service_time);
-      done.notify_one();
-    }));
+    ASSERT_TRUE(replica.submit(request, client));
   }
   std::unique_lock lock(m);
   ASSERT_TRUE(done.wait_for(lock, std::chrono::seconds(10),
@@ -207,10 +241,49 @@ TEST(ThreadedReplicaTest, ServiceTimeIsTheDraw) {
   EXPECT_LT(median(service), draw + kWakeBound);
 }
 
+TEST(ThreadedReplicaTest, EndpointServesRequestCancelAndSubscribe) {
+  std::mutex m;
+  std::vector<proto::Reply> replies;
+  std::vector<proto::Announce> announces;
+  LocalTransport transport{no_delay(), Rng{9}};
+  const EndpointId client =
+      transport.create_endpoint(HostId{2}, [&](EndpointId, const net::Payload& message) {
+        std::lock_guard lock(m);
+        if (const auto* reply = message.get_if<proto::Reply>()) replies.push_back(*reply);
+        if (const auto* announce = message.get_if<proto::Announce>()) {
+          announces.push_back(*announce);
+        }
+      });
+  ThreadedReplica replica{ReplicaId{4}, stats::make_constant(msec(100)), Rng{1}, transport, HostId{1}};
+  auto send = [&](auto body) {
+    transport.unicast(client, replica.endpoint(), net::Payload::make(body, 64));
+  };
+  // The first request occupies the worker; the second waits in the queue
+  // until the cancel purges it.
+  send(proto::Request{RequestId{1}, ClientId{1}, "invoke", 10});
+  send(proto::Request{RequestId{2}, ClientId{1}, "invoke", 20});
+  ASSERT_TRUE(wait_until([&] { return replica.queue_length() == 1; }));
+  send(proto::Cancel{RequestId{2}, ClientId{1}, "invoke"});
+  send(proto::Subscribe{ClientId{1}, client});
+  ASSERT_TRUE(wait_until([&] {
+    std::lock_guard lock(m);
+    return replies.size() == 1 && announces.size() == 1;
+  }));
+
+  // Purged, so the second request never runs and never replies.
+  std::lock_guard lock(m);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].request, RequestId{1});
+  EXPECT_EQ(replies[0].result, 10);
+  EXPECT_EQ(replica.purged(), 1u);
+  EXPECT_EQ(announces[0].replica, ReplicaId{4});
+  EXPECT_EQ(announces[0].endpoint, replica.endpoint());
+}
+
 class ThreadedClientTest : public ::testing::Test {
  protected:
-  ThreadedClientConfig fast_config() {
-    ThreadedClientConfig cfg;
+  ThreadedSystemConfig fast_config() {
+    ThreadedSystemConfig cfg;
     cfg.net.base = usec(200);
     cfg.net.jitter_max = usec(100);
     return cfg;
@@ -218,9 +291,10 @@ class ThreadedClientTest : public ::testing::Test {
 };
 
 TEST_F(ThreadedClientTest, InvokeDeliversFirstReply) {
-  ThreadedReplica fast{ReplicaId{1}, stats::make_constant(msec(2)), Rng{1}};
-  ThreadedReplica slow{ReplicaId{2}, stats::make_constant(msec(40)), Rng{2}};
-  ThreadedClient client{{&fast, &slow}, core::QosSpec{msec(100), 0.0}, Rng{3}, fast_config()};
+  ThreadedSystem system{fast_config()};
+  system.add_replica(stats::make_constant(msec(2)));   // replica 1: fast
+  system.add_replica(stats::make_constant(msec(40)));  // replica 2: slow
+  ThreadedClient& client = system.add_client(core::QosSpec{msec(100), 0.0});
   // First call is a cold start (fans out to both).
   const auto first = client.invoke(7);
   EXPECT_TRUE(first.answered);
@@ -236,9 +310,10 @@ TEST_F(ThreadedClientTest, InvokeDeliversFirstReply) {
 }
 
 TEST_F(ThreadedClientTest, MeasuresRealSelectionOverhead) {
-  ThreadedReplica r1{ReplicaId{1}, stats::make_constant(msec(2)), Rng{1}};
-  ThreadedReplica r2{ReplicaId{2}, stats::make_constant(msec(2)), Rng{2}};
-  ThreadedClient client{{&r1, &r2}, core::QosSpec{msec(100), 0.5}, Rng{3}, fast_config()};
+  ThreadedSystem system{fast_config()};
+  system.add_replica(stats::make_constant(msec(2)));
+  system.add_replica(stats::make_constant(msec(2)));
+  ThreadedClient& client = system.add_client(core::QosSpec{msec(100), 0.5});
   client.invoke(1);
   const auto outcome = client.invoke(2);
   // Real wall-clock measurement: positive but far below a millisecond on
@@ -248,11 +323,12 @@ TEST_F(ThreadedClientTest, MeasuresRealSelectionOverhead) {
 }
 
 TEST_F(ThreadedClientTest, TracksTimingFailures) {
-  ThreadedReplica slow{ReplicaId{1}, stats::make_constant(msec(50)), Rng{1}};
-  ThreadedReplica slow2{ReplicaId{2}, stats::make_constant(msec(50)), Rng{2}};
-  ThreadedClientConfig cfg = fast_config();
-  cfg.failure_tracker.min_samples = 2;
-  ThreadedClient client{{&slow, &slow2}, core::QosSpec{msec(10), 0.9}, Rng{3}, cfg};
+  ThreadedSystemConfig cfg = fast_config();
+  cfg.client.failure_tracker.min_samples = 2;
+  ThreadedSystem system{cfg};
+  system.add_replica(stats::make_constant(msec(50)));
+  system.add_replica(stats::make_constant(msec(50)));
+  ThreadedClient& client = system.add_client(core::QosSpec{msec(10), 0.9});
   for (int i = 0; i < 3; ++i) {
     const auto outcome = client.invoke(i);
     EXPECT_FALSE(outcome.timely);
@@ -262,9 +338,10 @@ TEST_F(ThreadedClientTest, TracksTimingFailures) {
 }
 
 TEST_F(ThreadedClientTest, SurvivesCrashOfSelectedReplica) {
-  ThreadedReplica fast{ReplicaId{1}, stats::make_constant(msec(2)), Rng{1}};
-  ThreadedReplica backup{ReplicaId{2}, stats::make_constant(msec(5)), Rng{2}};
-  ThreadedClient client{{&fast, &backup}, core::QosSpec{msec(200), 0.5}, Rng{3}, fast_config()};
+  ThreadedSystem system{fast_config()};
+  ThreadedReplica& fast = system.add_replica(stats::make_constant(msec(2)));
+  system.add_replica(stats::make_constant(msec(5)));  // replica 2: backup
+  ThreadedClient& client = system.add_client(core::QosSpec{msec(200), 0.5});
   client.invoke(1);  // warm up
   fast.crash();
   client.remove_replica(ReplicaId{1});
@@ -277,9 +354,10 @@ TEST_F(ThreadedClientTest, SurvivesCrashOfSelectedReplica) {
 TEST_F(ThreadedClientTest, RedundantDispatchMasksCrashWithoutRemoval) {
   // The crashed replica never replies, but Algorithm 1's redundancy means
   // the other selected member answers anyway.
-  ThreadedReplica doomed{ReplicaId{1}, stats::make_constant(msec(2)), Rng{1}};
-  ThreadedReplica healthy{ReplicaId{2}, stats::make_constant(msec(5)), Rng{2}};
-  ThreadedClient client{{&doomed, &healthy}, core::QosSpec{msec(300), 0.0}, Rng{3}, fast_config()};
+  ThreadedSystem system{fast_config()};
+  ThreadedReplica& doomed = system.add_replica(stats::make_constant(msec(2)));
+  system.add_replica(stats::make_constant(msec(5)));  // replica 2: healthy
+  ThreadedClient& client = system.add_client(core::QosSpec{msec(300), 0.0});
   client.invoke(1);  // warm up both windows
   doomed.crash();    // client does NOT know
   const auto outcome = client.invoke(2);
@@ -289,15 +367,14 @@ TEST_F(ThreadedClientTest, RedundantDispatchMasksCrashWithoutRemoval) {
 
 TEST_F(ThreadedClientTest, HedgeCopyGatewayDelayExcludesTheHedgeWait) {
   auto slowdown = std::make_shared<stats::LoadModulation>();
-  ThreadedReplica primary{
-      ReplicaId{1}, stats::make_modulated_sampler(stats::make_constant(msec(1)), slowdown),
-      Rng{1}};
-  ThreadedReplica backup{ReplicaId{2}, stats::make_constant(msec(4)), Rng{2}};
   obs::Telemetry telemetry;
-  ThreadedClientConfig cfg = fast_config();
-  cfg.dispatch.mode = core::DispatchMode::kHedged;
-  cfg.telemetry = &telemetry;
-  ThreadedClient client{{&primary, &backup}, core::QosSpec{msec(100), 0.5}, Rng{3}, cfg};
+  ThreadedSystemConfig cfg = fast_config();
+  cfg.client.dispatch.mode = core::DispatchMode::kHedged;
+  cfg.client.telemetry = &telemetry;
+  ThreadedSystem system{cfg};
+  system.add_replica(stats::make_modulated_sampler(stats::make_constant(msec(1)), slowdown));
+  system.add_replica(stats::make_constant(msec(4)));  // replica 2: backup
+  ThreadedClient& client = system.add_client(core::QosSpec{msec(100), 0.5});
   client.invoke(1);  // cold start: both windows get a sample
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
@@ -324,16 +401,37 @@ TEST_F(ThreadedClientTest, HedgeCopyGatewayDelayExcludesTheHedgeWait) {
 }
 
 TEST_F(ThreadedClientTest, QosRenegotiationResetsTracker) {
-  ThreadedReplica r{ReplicaId{1}, stats::make_constant(msec(30)), Rng{1}};
-  ThreadedClientConfig cfg = fast_config();
-  cfg.failure_tracker.min_samples = 1;
-  ThreadedClient client{{&r}, core::QosSpec{msec(5), 0.9}, Rng{3}, cfg};
+  ThreadedSystemConfig cfg = fast_config();
+  cfg.client.failure_tracker.min_samples = 1;
+  ThreadedSystem system{cfg};
+  system.add_replica(stats::make_constant(msec(30)));
+  ThreadedClient& client = system.add_client(core::QosSpec{msec(5), 0.9});
   client.invoke(1);
   EXPECT_TRUE(client.qos_violated());
   client.set_qos(core::QosSpec{msec(500), 0.5});
   EXPECT_FALSE(client.qos_violated());
   const auto outcome = client.invoke(2);
   EXPECT_TRUE(outcome.timely);
+}
+
+TEST_F(ThreadedClientTest, QosRenegotiationIsAlertedAndClearsTheViolationEdge) {
+  // Matches TimingFaultHandler::set_qos: renegotiation records
+  // kQosRenegotiated, and a violation of the OLD QoS must not surface as
+  // a kQosRecovered edge once the new QoS is met.
+  obs::Telemetry telemetry;
+  ThreadedSystemConfig cfg = fast_config();
+  cfg.client.failure_tracker.min_samples = 1;
+  cfg.client.telemetry = &telemetry;
+  ThreadedSystem system{cfg};
+  system.add_replica(stats::make_constant(msec(30)));
+  ThreadedClient& client = system.add_client(core::QosSpec{msec(5), 0.9});
+  ASSERT_FALSE(client.invoke(1).timely);
+  client.set_qos(core::QosSpec{msec(500), 0.5});
+  ASSERT_TRUE(client.invoke(2).timely);
+
+  std::vector<std::string> kinds;
+  for (const obs::AlertEvent& alert : telemetry.alerts()) kinds.emplace_back(obs::to_string(alert.kind));
+  EXPECT_EQ(kinds, (std::vector<std::string>{"qos_violation", "qos_renegotiated"}));
 }
 
 }  // namespace

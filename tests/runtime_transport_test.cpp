@@ -3,13 +3,16 @@
 // harvest — driven through loopback UDP instead of in-process replica
 // submission. Also pins the Subscribe/Announce discovery handshake and
 // the host-eviction path (a silent replica is reported dead by the
-// retransmit budget and leaves the selection directory).
+// retransmit budget and leaves the selection directory), and checks that
+// one workload makes the same decisions over the in-process
+// LocalTransport as over UDP.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <thread>
+#include <vector>
 
 #include "net/udp_transport.h"
 #include "obs/telemetry.h"
@@ -87,11 +90,9 @@ TEST(RuntimeTransportTest, SubscribeAnnounceDiscoversReplicas) {
   client_cfg.id = ClientId{50};
   client_cfg.transport = &udp;
   client_cfg.host = HostId{2'000};
-  ThreadedClient client{{}, core::QosSpec{msec(100), 0.5}, Rng{99}, client_cfg};
+  ThreadedClient client{core::QosSpec{msec(100), 0.5}, Rng{99}, client_cfg};
   EXPECT_EQ(client.known_replicas(), 0u);
-  for (auto* endpoint : system.replica_endpoints()) {
-    client.subscribe_to(endpoint->endpoint());
-  }
+  for (auto* replica : system.replicas()) client.subscribe_to(replica->endpoint());
   ASSERT_TRUE(wait_for([&] { return client.known_replicas() == 3u; }));
 
   const auto outcome = client.invoke(7);
@@ -121,8 +122,8 @@ TEST(RuntimeTransportTest, SilentReplicaIsEvictedFromTheDirectory) {
   client_cfg.id = ClientId{60};
   client_cfg.transport = &udp;
   client_cfg.host = HostId{2'100};
-  ThreadedClient client{{}, core::QosSpec{msec(100), 0.0}, Rng{42}, client_cfg};
-  client.add_peer_replica(system.replicas()[0]->id(), system.replica_endpoints()[0]->endpoint());
+  ThreadedClient client{core::QosSpec{msec(100), 0.0}, Rng{42}, client_cfg};
+  client.add_peer_replica(system.replicas()[0]->id(), system.replicas()[0]->endpoint());
   client.add_peer_replica(ReplicaId{77}, ghost);
   EXPECT_EQ(client.known_replicas(), 2u);
 
@@ -136,6 +137,80 @@ TEST(RuntimeTransportTest, SilentReplicaIsEvictedFromTheDirectory) {
   const auto outcome = client.invoke(123);
   EXPECT_TRUE(outcome.answered);
   client.shutdown();
+}
+
+/// What one request decided, independent of how long anything took.
+struct DecisionClass {
+  bool cold_start = false;
+  std::size_t redundancy = 0;
+  bool answered = false;
+  ReplicaId first_replica{};
+  std::size_t cancels_sent = 0;
+
+  bool operator==(const DecisionClass&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const DecisionClass& d) {
+  return os << "{cold=" << d.cold_start << " |K|=" << d.redundancy << " answered=" << d.answered
+            << " first=" << d.first_replica << " cancels=" << d.cancels_sent << "}";
+}
+
+/// One fast replica and two 10x and 14x slower ones, with a deadline only
+/// the fast one meets: F_R(t) is ~1 for it and exactly 0 for the others,
+/// so no near-tie is left to a race (two warm replicas that both meet the
+/// deadline can tie at F = 1 and be ranked by rounding dust). The spec is
+/// then infeasible and K is every replica. The hedge waits half the
+/// deadline, 10 ms past the fast reply.
+std::vector<DecisionClass> run_decisions(net::Transport* transport,
+                                         core::DispatchConfig dispatch) {
+  dispatch.min_hedge_fraction = 0.5;
+  ThreadedSystemConfig cfg;
+  cfg.transport = transport;
+  cfg.client.dispatch = dispatch;
+  ThreadedSystem system{cfg};
+  system.add_replica(stats::make_constant(msec(5)));
+  system.add_replica(stats::make_constant(msec(50)));
+  system.add_replica(stats::make_constant(msec(70)));
+  ThreadedClient& client = system.add_client(core::QosSpec{msec(30), 0.9});
+
+  std::vector<DecisionClass> decisions;
+  for (int i = 0; i < 10; ++i) {
+    const ThreadedClient::Outcome outcome = client.invoke(i);
+    decisions.push_back({.cold_start = outcome.cold_start,
+                         .redundancy = outcome.redundancy,
+                         .answered = outcome.answered,
+                         .first_replica = outcome.first_replica,
+                         .cancels_sent = outcome.cancels_sent});
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(client.td_clamped(), 0u);
+  return decisions;
+}
+
+void expect_same_decisions(const core::DispatchConfig& dispatch) {
+  const std::vector<DecisionClass> local = run_decisions(nullptr, dispatch);
+  net::UdpTransport udp{fast_udp()};
+  const std::vector<DecisionClass> over_udp = run_decisions(&udp, dispatch);
+  ASSERT_EQ(local.size(), over_udp.size());
+  // The first request is the cold-start fan-out; every later one is warm.
+  EXPECT_TRUE(local.front().cold_start);
+  for (std::size_t i = 1; i < local.size(); ++i) {
+    EXPECT_FALSE(local[i].cold_start) << "request " << i;
+    EXPECT_TRUE(local[i].answered) << "request " << i;
+    EXPECT_EQ(local[i].first_replica, ReplicaId{1}) << "request " << i;
+    EXPECT_EQ(local[i], over_udp[i]) << "request " << i;
+  }
+}
+
+TEST(RuntimeTransportTest, LocalAndUdpDecideAlikeInMulticastMode) {
+  expect_same_decisions(core::DispatchConfig{});
+}
+
+TEST(RuntimeTransportTest, LocalAndUdpDecideAlikeInHedgedCancelMode) {
+  core::DispatchConfig dispatch;
+  dispatch.mode = core::DispatchMode::kHedged;
+  dispatch.cancel_on_first_reply = true;
+  expect_same_decisions(dispatch);
 }
 
 }  // namespace

@@ -70,11 +70,11 @@ TEST(EmpiricalPmfTest, VarianceOfSymmetricTwoPoint) {
 
 TEST(EmpiricalPmfTest, MomentsOfEmptyThrow) {
   EmpiricalPmf pmf;
-  EXPECT_THROW(pmf.mean_us(), std::invalid_argument);
-  EXPECT_THROW(pmf.variance_us2(), std::invalid_argument);
-  EXPECT_THROW(pmf.min(), std::invalid_argument);
-  EXPECT_THROW(pmf.max(), std::invalid_argument);
-  EXPECT_THROW(pmf.quantile(0.5), std::invalid_argument);
+  EXPECT_THROW((void)pmf.mean_us(), std::invalid_argument);
+  EXPECT_THROW((void)pmf.variance_us2(), std::invalid_argument);
+  EXPECT_THROW((void)pmf.min(), std::invalid_argument);
+  EXPECT_THROW((void)pmf.max(), std::invalid_argument);
+  EXPECT_THROW((void)pmf.quantile(0.5), std::invalid_argument);
 }
 
 TEST(EmpiricalPmfTest, QuantileNearestAtom) {
@@ -87,8 +87,8 @@ TEST(EmpiricalPmfTest, QuantileNearestAtom) {
 
 TEST(EmpiricalPmfTest, QuantileRejectsOutOfRangeLevels) {
   const auto pmf = EmpiricalPmf::delta(msec(1));
-  EXPECT_THROW(pmf.quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(pmf.quantile(1.1), std::invalid_argument);
+  EXPECT_THROW((void)pmf.quantile(0.0), std::invalid_argument);
+  EXPECT_THROW((void)pmf.quantile(1.1), std::invalid_argument);
 }
 
 TEST(EmpiricalPmfTest, ShiftTranslatesSupport) {

@@ -12,9 +12,9 @@ namespace {
 TEST(SummaryStatsTest, EmptyAccumulatorThrowsOnQueries) {
   SummaryStats s;
   EXPECT_TRUE(s.empty());
-  EXPECT_THROW(s.mean(), std::invalid_argument);
-  EXPECT_THROW(s.min(), std::invalid_argument);
-  EXPECT_THROW(s.max(), std::invalid_argument);
+  EXPECT_THROW((void)s.mean(), std::invalid_argument);
+  EXPECT_THROW((void)s.min(), std::invalid_argument);
+  EXPECT_THROW((void)s.max(), std::invalid_argument);
 }
 
 TEST(SummaryStatsTest, SingleSample) {
@@ -24,7 +24,7 @@ TEST(SummaryStatsTest, SingleSample) {
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.min(), 5.0);
   EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_THROW(s.variance(), std::invalid_argument);
+  EXPECT_THROW((void)s.variance(), std::invalid_argument);
 }
 
 TEST(SummaryStatsTest, KnownMoments) {
@@ -95,14 +95,14 @@ TEST(SampleSetTest, QuantileAfterInterleavedAdds) {
 
 TEST(SampleSetTest, EmptyThrows) {
   SampleSet set;
-  EXPECT_THROW(set.quantile(0.5), std::invalid_argument);
+  EXPECT_THROW((void)set.quantile(0.5), std::invalid_argument);
 }
 
 TEST(SampleSetTest, RejectsBadLevels) {
   SampleSet set;
   set.add(1.0);
-  EXPECT_THROW(set.quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(set.quantile(1.5), std::invalid_argument);
+  EXPECT_THROW((void)set.quantile(0.0), std::invalid_argument);
+  EXPECT_THROW((void)set.quantile(1.5), std::invalid_argument);
 }
 
 TEST(SampleSetTest, SummaryTracksAdds) {

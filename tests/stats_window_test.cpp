@@ -59,8 +59,8 @@ TEST(SlidingWindowTest, LatestAndOldestTrackEnds) {
 
 TEST(SlidingWindowTest, LatestOnEmptyThrows) {
   SlidingWindow<int> w{2};
-  EXPECT_THROW(w.latest(), std::invalid_argument);
-  EXPECT_THROW(w.oldest(), std::invalid_argument);
+  EXPECT_THROW((void)w.latest(), std::invalid_argument);
+  EXPECT_THROW((void)w.oldest(), std::invalid_argument);
 }
 
 TEST(SlidingWindowTest, ClearResets) {

@@ -32,7 +32,6 @@
 #include "obs/perfetto_export.h"
 #include "obs/scrape.h"
 #include "obs/telemetry.h"
-#include "runtime/replica_endpoint.h"
 #include "runtime/threaded_system.h"
 
 namespace {
@@ -345,11 +344,9 @@ int run_udp_replica(const Options& opt) {
   }
 
   const stats::SamplerPtr service = make_service_sampler(opt);
-  runtime::ThreadedReplica replica{ReplicaId{opt.replica_id}, service,
-                                   Rng{opt.seed}.fork("replica").fork(opt.replica_id),
-                                   telemetry.get()};
-  runtime::ReplicaEndpoint endpoint{
-      transport, replica,
+  runtime::ThreadedReplica replica{
+      ReplicaId{opt.replica_id}, service, Rng{opt.seed}.fork("replica").fork(opt.replica_id),
+      transport,
       [&transport, &opt, port = port](net::ReceiveFn fn) {
         return transport.create_endpoint_on(HostId{opt.replica_id}, port, std::move(fn));
       },
@@ -364,7 +361,7 @@ int run_udp_replica(const Options& opt) {
   }
   std::printf("replica-%llu listening on %s:%u (service=%s)\n",
               static_cast<unsigned long long>(opt.replica_id), address.c_str(),
-              static_cast<unsigned>(transport.endpoint_port(endpoint.endpoint())),
+              static_cast<unsigned>(transport.endpoint_port(replica.endpoint())),
               service->describe().c_str());
   std::fflush(stdout);
 
@@ -406,8 +403,7 @@ int run_udp_gateway(const Options& opt) {
   client_config.transport = &transport;
   client_config.id = ClientId{1};
   client_config.host = HostId{1'000 + 1};
-  runtime::ThreadedClient client{std::vector<runtime::ThreadedReplica*>{},
-                                 core::QosSpec{msec(opt.deadline_ms), opt.pc},
+  runtime::ThreadedClient client{core::QosSpec{msec(opt.deadline_ms), opt.pc},
                                  Rng{opt.seed}.fork("client").fork(1), client_config};
   for (const std::string& peer : opt.peers) {
     const auto [address, port] = parse_host_port(peer);

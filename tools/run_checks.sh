@@ -237,7 +237,7 @@ ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L obs
 
 step "Transport conformance + UDP runtime (TSan)"
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-  -R 'SimConformance|UdpConformance|RuntimeTransportTest|UdpRegressionTest'
+  -R 'SimConformance|UdpConformance|LocalConformance|RuntimeTransportTest|UdpRegressionTest'
 
 step "Configure + build: AddressSanitizer + UndefinedBehaviorSanitizer (build-asan/)"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DENABLE_ASAN=ON -DENABLE_UBSAN=ON \
@@ -252,6 +252,6 @@ ctest --test-dir build-asan --output-on-failure -j "${JOBS}" -L fault
 
 step "Transport conformance + UDP runtime (ASan+UBSan)"
 ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-  -R 'SimConformance|UdpConformance|RuntimeTransportTest|UdpRegressionTest'
+  -R 'SimConformance|UdpConformance|LocalConformance|RuntimeTransportTest|UdpRegressionTest'
 
 step "All checks passed"
