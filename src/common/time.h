@@ -43,6 +43,15 @@ constexpr std::int64_t count_us(TimePoint t) { return t.time_since_epoch().count
 /// Duration expressed as fractional milliseconds (for reports and plots).
 constexpr double to_ms(Duration d) { return static_cast<double>(d.count()) / 1000.0; }
 
+/// The process's one wall clock on the TimePoint axis: the steady clock
+/// against its own epoch. Every wall-clock runtime component (threaded
+/// client, telemetry hubs, the fleet collector) reads this, so their
+/// timestamps share one base inside a process.
+inline TimePoint steady_now() {
+  return TimePoint{std::chrono::duration_cast<Duration>(
+      std::chrono::steady_clock::now().time_since_epoch())};
+}
+
 /// Render a duration as a short human-readable string, e.g. "12.345ms".
 std::string to_string(Duration d);
 

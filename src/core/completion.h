@@ -75,9 +75,8 @@ struct CompletionSpec {
 /// spec (the k-th *distinct* chunk or replica, or the first reply for the
 /// default spec) — and false forever after; duplicate and stale replies
 /// are counted, never double-counted. The collector is deliberately not
-/// internally locked: the simulated handler runs single-threaded, and the
-/// threaded client records under its per-request state mutex (the same
-/// lock that guards first-reply delivery today).
+/// internally locked: it lives in a core::RequestEngine, which the
+/// simulator drives from one thread and ThreadedClient under its mutex.
 class ReplyCollector {
  public:
   /// Replace the default first-of-n spec. Must be called before the

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <variant>
 
 #include "common/assert.h"
-#include "common/log.h"
 #include "obs/telemetry.h"
 
 namespace aqua::gateway {
@@ -29,343 +29,143 @@ TimingFaultHandler::TimingFaultHandler(sim::Simulator& simulator, net::Lan& lan,
     : simulator_(simulator),
       lan_(lan),
       group_(group),
-      client_(client),
-      qos_(qos),
-      rng_(std::move(rng)),
       config_(std::move(config)),
-      model_cache_(std::make_shared<core::ModelCache>()),
-      dispatch_model_(config_.model, model_cache_),
-      policy_(policy ? std::move(policy)
-                     : core::make_dynamic_policy(config_.selection, config_.model, model_cache_)),
-      repository_(config_.repository),
-      tracker_(config_.failure_tracker),
-      obs_(config_.telemetry) {
-  qos_.validate();
-  if (obs_ != nullptr) {
-    auto& metrics = obs_->metrics();
-    requests_counter_ = &metrics.counter("gateway.requests");
-    probes_counter_ = &metrics.counter("gateway.probes");
-    replies_counter_ = &metrics.counter("gateway.replies");
-    timely_counter_ = &metrics.counter("gateway.timely");
-    timing_failures_counter_ = &metrics.counter("gateway.timing_failures");
-    redispatches_counter_ = &metrics.counter("gateway.redispatches");
-    hedges_counter_ = &metrics.counter("gateway.hedges_fired");
-    cancels_counter_ = &metrics.counter("gateway.cancels");
-    qos_violations_counter_ = &metrics.counter("gateway.qos_violations");
-    replicas_evicted_counter_ = &metrics.counter("gateway.replicas_evicted");
-    td_clamped_counter_ = &metrics.counter("gateway.td_clamped");
-    response_time_histogram_ = &metrics.histogram("gateway.response_time_us");
-    selection_delta_histogram_ = &metrics.histogram("gateway.selection_delta_us");
-    // The select.* counters ride on the policy decorator; the cache and
-    // repository mirror their own counters from here on.
-    policy_ = core::make_observed_policy(std::move(policy_), obs_);
-    model_cache_->set_telemetry(obs_);
-    repository_.set_telemetry(obs_);
-    if (obs_->spans_enabled()) span_sink_ = obs_;
-  }
-  endpoint_ = lan_.create_endpoint(
-      host, [this](EndpointId from, const net::Payload& m) { on_receive(from, m); });
-  group_.join(endpoint_);
-  group_.on_view_change(endpoint_, [this](const net::View& view,
-                                          std::span<const EndpointId> departed) {
-    on_view_change(view, departed);
+      engine_(client, qos, std::move(rng),
+              core::EngineConfig{
+                  .repository = config_.repository,
+                  .selection = config_.selection,
+                  .model = config_.model,
+                  .failure_tracker = config_.failure_tracker,
+                  .dispatch = config_.dispatch,
+                  .redispatch_on_view_change = config_.redispatch_on_view_change,
+                  .discovery_settle = config_.discovery_settle,
+                  .probe_staleness = config_.probe_staleness,
+                  .interception = config_.overhead.interception,
+                  .selection_cost = [this](const core::SelectionView& view) {
+                    return selection_cost(view);
+                  },
+                  .history = &history_,
+                  .telemetry = config_.telemetry,
+                  .metrics_prefix = "gateway"},
+              std::move(policy)) {
+  endpoint_ = lan_.create_endpoint(host, [this](EndpointId, const net::Payload& message) {
+    core::Actions out;
+    if (const auto* reply = message.get_if<proto::Reply>()) {
+      engine_.on_reply(simulator_.now(), *reply, out);
+    } else if (const auto* update = message.get_if<proto::PerfUpdate>()) {
+      engine_.on_perf_update(simulator_.now(), *update);
+    } else if (const auto* announce = message.get_if<proto::Announce>()) {
+      engine_.on_announce(simulator_.now(), announce->replica, announce->endpoint, out);
+    }
+    // Subscribe broadcasts from sibling clients land here too; ignored.
+    run(out);
   });
+  group_.join(endpoint_);
+  group_.on_view_change(endpoint_,
+                        [this](const net::View&, std::span<const EndpointId> departed) {
+                          core::Actions out;
+                          engine_.on_view_change(simulator_.now(), departed, out);
+                          run(out);
+                        });
   // Ask the replicas already in the group for performance updates; each
   // responds with an Announce that populates the directory.
-  group_.broadcast(endpoint_,
-                   net::Payload::make(proto::Subscribe{client_, endpoint_}, proto::kSubscribeBytes));
-  if (config_.probe_staleness > Duration::zero()) {
-    const Duration period = std::max(msec(1), config_.probe_staleness / 2);
-    probe_task_.start(simulator_, period, period, [this] { probe_stale_replicas(); });
-  }
+  group_.broadcast(endpoint_, net::Payload::make(proto::Subscribe{client, endpoint_},
+                                                 proto::kSubscribeBytes));
+  core::Actions out;
+  engine_.start(simulator_.now(), out);
+  run(out);
 }
 
-void TimingFaultHandler::probe_stale_replicas() {
-  const TimePoint now = simulator_.now();
-  for (const auto& [replica, endpoint] : replica_endpoints_) {
-    if (!repository_.contains(replica)) continue;
-    const core::ReplicaObservation obs = repository_.observe(replica);
-    if (now - obs.last_update <= config_.probe_staleness) continue;
-    // Skip replicas that already have an outstanding probe or request:
-    // O(1) via the maintained per-replica count (previously an
-    // O(pending x awaiting) scan per replica per tick).
-    if (outstanding_requests(replica) == 0) send_probe(replica);
-  }
-}
-
-void TimingFaultHandler::set_awaiting(PendingRequest& pending, std::vector<ReplicaId> replicas) {
-  for (ReplicaId replica : pending.awaiting) drop_outstanding(replica, 1);
-  for (ReplicaId replica : replicas) {
-    ++outstanding_[replica];
-    // Client-side concurrency compensation: charge the copy against the
-    // replica's repository record until its next perf sample. A pure
-    // counter bump — no rng, no events, no generation change — so the
-    // default (load-score-off) config stays bit-identical.
-    repository_.note_dispatch(replica);
-  }
-  pending.awaiting = std::move(replicas);
-}
-
-void TimingFaultHandler::add_awaiting(PendingRequest& pending,
-                                      std::span<const ReplicaId> replicas) {
-  for (ReplicaId replica : replicas) {
-    if (std::find(pending.awaiting.begin(), pending.awaiting.end(), replica) !=
-        pending.awaiting.end()) {
-      continue;
-    }
-    ++outstanding_[replica];
-    repository_.note_dispatch(replica);
-    pending.awaiting.push_back(replica);
-  }
-}
-
-void TimingFaultHandler::remove_awaiting(PendingRequest& pending, ReplicaId replica) {
-  const std::size_t erased = std::erase(pending.awaiting, replica);
-  if (erased > 0) drop_outstanding(replica, erased);
-}
-
-void TimingFaultHandler::erase_pending(RequestId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  for (ReplicaId replica : it->second.awaiting) drop_outstanding(replica, 1);
-  pending_.erase(it);
-}
-
-void TimingFaultHandler::drop_outstanding(ReplicaId replica, std::size_t count) {
-  auto it = outstanding_.find(replica);
-  if (it == outstanding_.end()) return;
-  it->second -= std::min(it->second, count);
-  if (it->second == 0) outstanding_.erase(it);
-}
-
-void TimingFaultHandler::send_probe(ReplicaId replica) {
-  auto eit = replica_endpoints_.find(replica);
-  if (eit == replica_endpoints_.end()) return;
-  const RequestId id = request_ids_.next();
-  const TimePoint now = simulator_.now();
-
-  history_.push_back(RequestRecord{});
-  RequestRecord& record = history_.back();
-  record.request = id;
-  record.intercepted_at = now;
-  record.transmitted_at = now;
-  record.qos = qos_;
-  record.probe = true;
-  record.redundancy = 1;
-
-  PendingRequest pending;
-  pending.record_index = history_.size() - 1;
-  pending.t0 = now;
-  pending.t1 = now;
-  pending.qos = qos_;
-  pending.method = core::kDefaultMethod;  // matches the wire request below
-  pending.is_probe = true;
-  pending.dispatched = true;
-  pending.trace_id = obs::make_trace_id(client_, id);
-  set_awaiting(pending, {replica});
-  auto pit = pending_.emplace(id, std::move(pending)).first;
-  simulator_.schedule_at(now + qos_.deadline * 10, [this, id] { erase_pending(id); });
-
-  ++probes_sent_;
-  if (probes_counter_ != nullptr) probes_counter_->add();
-  if (obs_ != nullptr) {
-    obs_->record_alert({.kind = obs::AlertKind::kReplicaStale,
-                        .at = now,
-                        .client = client_,
-                        .replica = replica,
-                        .observed = 0.0,
-                        .threshold = static_cast<double>(count_us(config_.probe_staleness)),
-                        .detail = "probe sent"});
-  }
-  AQUA_LOG_DEBUG << "handler " << client_.value() << ": probing stale replica "
-                 << replica.value();
-  proto::Request request{id, client_, core::kDefaultMethod, 0};
-  net::Payload payload = net::Payload::make(request, proto::kRequestBytes);
-  if (span_sink_ != nullptr) {
-    PendingRequest& p = pit->second;
-    p.root_span = span_sink_->next_span_id();
-    payload.set_span({.trace_id = p.trace_id,
-                      .parent_span_id = p.root_span,
-                      .leg = obs::SpanKind::kRequestLeg,
-                      .replica = {}});
-  }
-  const std::vector<EndpointId> target{eit->second};
-  group_.send(endpoint_, target, std::move(payload));
+TimingFaultHandler::~TimingFaultHandler() {
+  for (auto& [id, event] : timers_) event.cancel();
 }
 
 RequestId TimingFaultHandler::invoke(std::int64_t argument, ReplyCallback on_reply,
                                      const std::string& method) {
   AQUA_REQUIRE(on_reply != nullptr, "reply callback must be callable");
-  const RequestId id = request_ids_.next();
-  const TimePoint t0 = simulator_.now();
-  if (requests_counter_ != nullptr) requests_counter_->add();
-
-  history_.push_back(RequestRecord{});
-  RequestRecord& record = history_.back();
-  record.request = id;
-  record.intercepted_at = t0;
-  record.qos = qos_;
-
-  PendingRequest pending;
-  pending.record_index = history_.size() - 1;
-  pending.t0 = t0;
-  pending.qos = qos_;
-  pending.method = method;
-  pending.argument = argument;
-  pending.on_reply = std::move(on_reply);
-  pending.trace_id = obs::make_trace_id(client_, id);
-
-  // §5.4.2: a timing failure occurs if no timely response arrives; the
-  // timer also covers the case where no response arrives at all (all
-  // selected replicas crashed).
-  pending.deadline_timer = simulator_.schedule_at(t0 + qos_.deadline, [this, id] {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    if (!it->second.outcome_recorded) record_outcome(it->second, /*timely=*/false);
-    finish_if_complete(id);
-  });
-
-  auto [it, inserted] = pending_.emplace(id, std::move(pending));
-  AQUA_ASSERT(inserted);
-
-  // Final GC: with message loss or undetected crashes a request may never
-  // collect all its replies; reclaim its state well after the deadline.
-  simulator_.schedule_at(t0 + qos_.deadline * 10, [this, id] { erase_pending(id); });
-
-  // The interception + marshalling stage elapses before the scheduler
-  // runs the selection.
-  simulator_.schedule_after(config_.overhead.interception, [this, id] {
-    auto pit = pending_.find(id);
-    if (pit == pending_.end()) return;
-    dispatch(id, pit->second, /*redispatch=*/false);
-  });
+  core::Actions out;
+  const RequestId id = engine_.invoke(simulator_.now(), argument, method, out);
+  callbacks_.emplace(id, std::move(on_reply));
+  run(out);
   return id;
 }
 
-void TimingFaultHandler::dispatch(RequestId id, PendingRequest& pending, bool redispatch) {
-  // Observe with the clock so silence (and thus the liveness guess and
-  // the adaptive-trim live filter) is populated.
-  const auto observations = repository_.observe_all(pending.method, simulator_.now());
-  RequestRecord& record = history_[pending.record_index];
-  if (observations.empty()) {
-    // No replicas discovered yet (the Announce handshake is still in
-    // flight). handle_announce() re-dispatches as soon as one appears; if
-    // none ever does, the deadline timer records the failure.
-    AQUA_LOG_DEBUG << "handler " << client_.value() << ": no replicas known for request "
-                   << id.value() << "; waiting for membership";
-    return;
-  }
-  pending.dispatched = true;
-
-  // §5.3.3: select with the most recently measured delta, then measure the
-  // cost of this execution for the next one.
-  const Duration delta_used = overhead_.current();
-  const core::ModelCacheStats cache_before = model_cache_->stats();
-  const core::SelectionResult selection =
-      policy_->select(observations, pending.qos, delta_used, rng_);
-  AQUA_ASSERT(!selection.selected.empty());
-
-  std::size_t with_data = 0;
-  for (const auto& obs : observations) {
-    if (obs.has_data()) ++with_data;
-  }
-  // Charge convolution cost only for the replicas the model actually
-  // re-convolved; cache hits pay the cheap lookup cost. A policy that
-  // bypasses the cache (custom PolicyPtr) leaves the counters untouched
-  // and is charged the full uncached estimate as before.
-  std::size_t convolved = with_data;
-  std::size_t cached = 0;
-  const core::ModelCacheStats& cache_after = model_cache_->stats();
-  if (cache_after.hits + cache_after.misses > cache_before.hits + cache_before.misses) {
-    cached = static_cast<std::size_t>(
-        std::min<std::uint64_t>(cache_after.hits - cache_before.hits, with_data));
-    convolved = with_data - cached;
-  }
-  Duration selection_cost =
-      config_.overhead.selection_cost(convolved, cached, repository_.window_size());
-
-  // Repository bootstrap: replicas with no recorded history yet ride
-  // along on every request (whatever the policy chose) so their windows
-  // fill — the handler-level analogue of the paper's proposed active
-  // probes for replicas with missing/obsolete data (§8).
-  std::vector<ReplicaId> selected = selection.selected;
-  if (config_.selection.include_dataless && !selection.cold_start) {
-    for (const auto& obs : observations) {
-      if (!obs.has_data() &&
-          std::find(selected.begin(), selected.end(), obs.id) == selected.end()) {
-        selected.push_back(obs.id);
+void TimingFaultHandler::run(core::Actions& actions) {
+  for (core::Action& action : actions) {
+    if (auto* send = std::get_if<core::SendRequest>(&action)) {
+      auto payload_of = [&send](const proto::Request& request) {
+        net::Payload payload = net::Payload::make(request, proto::kRequestBytes);
+        if (send->span.valid()) payload.set_span(send->span);
+        return payload;
+      };
+      if (send->chunks.empty()) {
+        // Uncoded: one multicast payload shared by the whole set — the
+        // paper's transmission exactly.
+        group_.send(endpoint_, send->targets, payload_of(send->request));
+        continue;
       }
+      for (std::size_t i = 0; i < send->targets.size(); ++i) {
+        proto::Request copy = send->request;
+        copy.chunk = send->chunks[i];
+        group_.send(endpoint_, std::span<const EndpointId>(&send->targets[i], 1), payload_of(copy));
+      }
+    } else if (auto* cancel = std::get_if<core::SendCancel>(&action)) {
+      group_.send(endpoint_, cancel->targets,
+                  net::Payload::make(cancel->cancel, proto::kCancelBytes));
+    } else if (auto* subscribe = std::get_if<core::SendSubscribe>(&action)) {
+      // Make sure the announced replica pushes its performance updates here.
+      lan_.unicast(endpoint_, subscribe->target,
+                   net::Payload::make(proto::Subscribe{engine_.client(), endpoint_},
+                                      proto::kSubscribeBytes));
+    } else if (auto* arm = std::get_if<core::ArmTimer>(&action)) {
+      const core::Timer timer = arm->timer;
+      timers_[timer.id] = simulator_.schedule_at(timer.at, [this, timer] {
+        timers_.erase(timer.id);
+        core::Actions fired;
+        engine_.on_timer(simulator_.now(), timer, fired);
+        run(fired);
+      });
+    } else if (auto* stop = std::get_if<core::CancelTimer>(&action)) {
+      if (auto it = timers_.find(stop->timer.id); it != timers_.end()) {
+        it->second.cancel();
+        timers_.erase(it);
+      }
+    } else if (auto* deliver = std::get_if<core::Deliver>(&action)) {
+      auto it = callbacks_.find(deliver->info.request);
+      if (it == callbacks_.end()) continue;
+      const ReplyCallback on_reply = std::move(it->second);
+      callbacks_.erase(it);
+      on_reply(deliver->info);
+    } else if (auto* violation = std::get_if<core::QosViolation>(&action)) {
+      if (on_violation_) on_violation_(violation->observed_timely_fraction);
     }
   }
+}
 
-  // Split K into the transmission schedule. The default config takes the
-  // identity branch: no model evaluation, no plan object that could
-  // disturb the paper-policy path (fig4/fig5 stay bit-identical).
-  core::DispatchPlan plan;
-  if (config_.dispatch.is_default()) {
-    plan.primary = selected;
-  } else {
-    core::SelectionResult merged = selection;
-    merged.selected = selected;
-    plan = core::plan_dispatch(config_.dispatch, merged, observations, pending.qos,
-                               dispatch_model_);
-  }
-
-  // Arm the completion predicate at the first non-default plan. The arm
-  // is once-only: a redispatch keeps the original spec and its collected
-  // chunks (rateless MDS — the fresh copies below carry new indices, so
-  // everything already received still counts toward k). Coded dispatches
-  // tag their generation with the request id; uncoded ones (including
-  // quorum) leave it at the wire default of zero.
-  if (!plan.completion.is_default() && !pending.collector.armed()) {
-    pending.collector.arm(plan.completion, plan.coded ? id.value() : 0);
-    pending.code_k = plan.code_k;
-  }
-  // MDS encoding + per-copy marshalling replaces the shared multicast
-  // marshalling; charge it into the same delta the compensation path
-  // feeds back (§5.3.3). Zero for every uncoded dispatch.
-  if (pending.code_k > 0) {
-    selection_cost += config_.overhead.per_chunk *
-                      static_cast<std::int64_t>(plan.primary.size() + plan.hedge.size());
-  }
-  overhead_.record(config_.overhead.interception + selection_cost);
-  if (selection_delta_histogram_ != nullptr) {
-    selection_delta_histogram_->record(config_.overhead.interception + selection_cost);
-    if (redispatch) redispatches_counter_->add();
-  }
-
-  pending.hedge_timer.cancel();  // a redispatch supersedes any armed hedge
-  pending.hedge_set = plan.hedge;
-  set_awaiting(pending, plan.primary);
-  record.redundancy = plan.primary.size() + plan.hedge.size();
-  record.hedged = plan.hedged;
-  record.code_k = pending.code_k;
-  record.cold_start = selection.cold_start;
-  record.feasible = selection.feasible;
-  record.predicted_probability = selection.predicted_probability;
-  record.redispatched = redispatch;
-
-  if (obs_ != nullptr && !selection.feasible && !selection.cold_start && !pending.is_probe) {
-    obs_->record_alert({.kind = obs::AlertKind::kInfeasibleSelection,
-                        .at = simulator_.now(),
-                        .client = client_,
-                        .replica = {},
-                        .observed = selection.predicted_probability,
-                        .threshold = pending.qos.min_probability,
-                        .detail = "fallback redundancy " + std::to_string(selected.size())});
-  }
+core::DispatchCost TimingFaultHandler::selection_cost(const core::SelectionView& view) {
+  // Replicas the model re-convolved pay the per-atom term, cache hits
+  // the cheap lookup; MDS encoding + per-copy marshalling is charged per
+  // chunk-request of a coded dispatch.
+  Duration cost = config_.overhead.selection_cost(view.convolved, view.cached,
+                                                  engine_.repository().window_size());
+  cost += config_.overhead.per_chunk * static_cast<std::int64_t>(view.coded_copies);
 
   // Selection explainability record: every replica as Algorithm 1 saw
   // it, plus the achieved-vs-requested probability and the cache split.
-  if (obs_ != nullptr && obs_->selection_traces_enabled()) {
+  obs::Telemetry* obs = config_.telemetry;
+  if (obs != nullptr && obs->selection_traces_enabled()) {
+    const core::SelectionResult& selection = view.selection;
+    auto is_selected = [&view](ReplicaId id) {
+      return std::find(view.selected.begin(), view.selected.end(), id) != view.selected.end();
+    };
     obs::SelectionTrace trace;
-    trace.client = client_;
-    trace.request = id;
-    trace.at = simulator_.now();
-    trace.redispatch = redispatch;
-    trace.deadline = pending.qos.deadline;
-    trace.requested_probability = pending.qos.min_probability;
-    trace.overhead_delta = delta_used;
+    trace.client = engine_.client();
+    trace.request = view.request;
+    trace.at = view.at;
+    trace.redispatch = view.redispatch;
+    trace.deadline = view.qos.deadline;
+    trace.requested_probability = view.qos.min_probability;
+    trace.overhead_delta = view.delta_used;
     trace.cold_start = selection.cold_start;
     trace.feasible = selection.feasible;
     trace.fallback_to_all =
@@ -374,563 +174,31 @@ void TimingFaultHandler::dispatch(RequestId id, PendingRequest& pending, bool re
     trace.protected_count = selection.protected_count;
     trace.test_probability = selection.test_probability;
     trace.predicted_probability = selection.predicted_probability;
-    trace.redundancy = selected.size();
-    trace.cache_hits = cache_after.hits - cache_before.hits;
-    trace.cache_misses = cache_after.misses - cache_before.misses;
-    trace.replicas.reserve(observations.size());
+    trace.redundancy = view.selected.size();
+    trace.cache_hits = view.cache_hits;
+    trace.cache_misses = view.cache_misses;
     for (std::size_t i = 0; i < selection.ranked.size(); ++i) {
       const core::RankedReplica& ranked = selection.ranked[i];
-      obs::SelectionReplicaTrace row;
-      row.replica = ranked.id;
-      row.rank = i;
-      row.probability = ranked.probability;
-      row.has_data = ranked.has_data;
-      row.selected =
-          std::find(selected.begin(), selected.end(), ranked.id) != selected.end();
-      row.protected_member = i < selection.protected_count;
-      trace.replicas.push_back(row);
+      trace.replicas.push_back({.replica = ranked.id,
+                                .rank = i,
+                                .probability = ranked.probability,
+                                .has_data = ranked.has_data,
+                                .selected = is_selected(ranked.id),
+                                .protected_member = i < selection.protected_count});
     }
     // Dataless replicas never enter the ranking; list the selected ones
     // after it so the dispatched set K is fully accounted for.
-    for (ReplicaId id_selected : selected) {
+    for (ReplicaId id : view.selected) {
       const bool ranked_member =
           std::any_of(selection.ranked.begin(), selection.ranked.end(),
-                      [id_selected](const core::RankedReplica& r) { return r.id == id_selected; });
-      if (ranked_member) continue;
-      obs::SelectionReplicaTrace row;
-      row.replica = id_selected;
-      row.rank = trace.replicas.size();
-      row.selected = true;
-      trace.replicas.push_back(row);
-    }
-    obs_->record_selection(std::move(trace));
-  }
-
-  // Coded dispatch: assign one fresh chunk index per primary copy now,
-  // in selection order, so the transmission below is a pure send.
-  std::vector<std::uint32_t> chunks;
-  if (pending.code_k > 0) {
-    chunks.reserve(plan.primary.size());
-    for (std::size_t i = 0; i < plan.primary.size(); ++i) chunks.push_back(pending.next_chunk++);
-  }
-
-  // The selection computation itself elapses before transmission (t1).
-  // The dispatch span covers interception + selection for a first
-  // dispatch (t0 -> t1) and the re-selection alone for a redispatch.
-  const TimePoint dispatch_start = redispatch ? simulator_.now() : pending.t0;
-  const bool hedged = plan.hedged;
-  const Duration hedge_delay = plan.hedge_delay;
-  simulator_.schedule_after(selection_cost, [this, id, dispatch_start, hedged, hedge_delay,
-                                             selected = std::move(plan.primary),
-                                             chunks = std::move(chunks)] {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    PendingRequest& p = it->second;
-    std::vector<EndpointId> targets;
-    targets.reserve(selected.size());
-    std::vector<std::uint32_t> target_chunks;
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      if (auto eit = replica_endpoints_.find(selected[i]); eit != replica_endpoints_.end()) {
-        targets.push_back(eit->second);
-        if (!chunks.empty()) target_chunks.push_back(chunks[i]);
+                      [id](const core::RankedReplica& r) { return r.id == id; });
+      if (!ranked_member) {
+        trace.replicas.push_back({.replica = id, .rank = trace.replicas.size(), .selected = true});
       }
     }
-    p.t1 = simulator_.now();
-    history_[p.record_index].transmitted_at = p.t1;
-    proto::Request request{id, client_, p.method, p.argument};
-    net::Payload payload = net::Payload::make(request, proto::kRequestBytes);
-    obs::SpanContext leg_span{};
-    if (span_sink_ != nullptr) {
-      if (p.root_span == 0) p.root_span = span_sink_->next_span_id();
-      const std::uint64_t dispatch_span = span_sink_->next_span_id();
-      span_sink_->record_span({.trace_id = p.trace_id,
-                               .span_id = dispatch_span,
-                               .parent_span_id = p.root_span,
-                               .kind = obs::SpanKind::kDispatch,
-                               .client = client_,
-                               .request = id,
-                               .replica = {},
-                               .start = dispatch_start,
-                               .end = p.t1});
-      leg_span = {.trace_id = p.trace_id,
-                  .parent_span_id = dispatch_span,
-                  .leg = obs::SpanKind::kRequestLeg,
-                  .replica = {}};
-      payload.set_span(leg_span);
-    }
-    if (target_chunks.empty()) {
-      // Uncoded: one multicast payload shared by the whole set — the
-      // paper's transmission exactly.
-      group_.send(endpoint_, targets, std::move(payload));
-    } else {
-      // Coded: each member receives its own chunk-request. Same t1, same
-      // dispatch span; only the body's chunk index differs per copy.
-      for (std::size_t i = 0; i < targets.size(); ++i) {
-        proto::Request chunk_request = request;
-        chunk_request.chunk = target_chunks[i];
-        chunk_request.code_k = p.code_k;
-        chunk_request.code_id = p.collector.code_id();
-        net::Payload chunk_payload = net::Payload::make(chunk_request, proto::kRequestBytes);
-        if (span_sink_ != nullptr) chunk_payload.set_span(leg_span);
-        group_.send(endpoint_, std::span<const EndpointId>(&targets[i], 1),
-                    std::move(chunk_payload));
-      }
-    }
-    if (hedged && !p.delivered && !p.hedge_set.empty()) {
-      // The hedge delay runs from t1: the pmf quantile it was derived
-      // from predicts the primary's response measured from transmission.
-      p.hedge_timer = simulator_.schedule_after(hedge_delay, [this, id] { fire_hedge(id); });
-    }
-  });
-}
-
-void TimingFaultHandler::fire_hedge(RequestId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  PendingRequest& pending = it->second;
-  if (pending.delivered || pending.hedge_set.empty()) return;
-
-  std::vector<ReplicaId> hedge = std::move(pending.hedge_set);
-  pending.hedge_set.clear();
-  std::vector<EndpointId> targets;
-  targets.reserve(hedge.size());
-  for (ReplicaId replica : hedge) {
-    if (auto eit = replica_endpoints_.find(replica); eit != replica_endpoints_.end()) {
-      targets.push_back(eit->second);
-    }
+    obs->record_selection(std::move(trace));
   }
-  if (targets.empty()) return;
-
-  add_awaiting(pending, hedge);
-  ++hedges_fired_;
-  history_[pending.record_index].hedge_fired = true;
-  if (hedges_counter_ != nullptr) hedges_counter_->add();
-  AQUA_LOG_DEBUG << "handler " << client_.value() << ": hedging request " << id.value() << " to "
-                 << targets.size() << " backup replica(s)";
-
-  proto::Request request{id, client_, pending.method, pending.argument};
-  net::Payload payload = net::Payload::make(request, proto::kRequestBytes);
-  obs::SpanContext leg_span{};
-  if (span_sink_ != nullptr) {
-    if (pending.root_span == 0) pending.root_span = span_sink_->next_span_id();
-    leg_span = {.trace_id = pending.trace_id,
-                .parent_span_id = pending.root_span,
-                .leg = obs::SpanKind::kRequestLeg,
-                .replica = {}};
-    payload.set_span(leg_span);
-  }
-  if (pending.code_k == 0) {
-    group_.send(endpoint_, targets, std::move(payload));
-    return;
-  }
-  // Coded hedge: the held-back copies get fresh chunk indices at fire
-  // time — rateless, so they add information no matter which primary
-  // chunks already arrived.
-  for (const EndpointId target : targets) {
-    proto::Request chunk_request = request;
-    chunk_request.chunk = pending.next_chunk++;
-    chunk_request.code_k = pending.code_k;
-    chunk_request.code_id = pending.collector.code_id();
-    net::Payload chunk_payload = net::Payload::make(chunk_request, proto::kRequestBytes);
-    if (span_sink_ != nullptr) chunk_payload.set_span(leg_span);
-    group_.send(endpoint_, std::span<const EndpointId>(&target, 1), std::move(chunk_payload));
-  }
-}
-
-void TimingFaultHandler::send_cancels(RequestId id, PendingRequest& pending) {
-  if (pending.awaiting.empty()) return;
-  std::vector<EndpointId> targets;
-  targets.reserve(pending.awaiting.size());
-  for (ReplicaId replica : pending.awaiting) {
-    if (auto eit = replica_endpoints_.find(replica); eit != replica_endpoints_.end()) {
-      targets.push_back(eit->second);
-    }
-  }
-  // Stop awaiting the cancelled members either way: a purged copy never
-  // replies, and one already in service replies into the late-reply
-  // harvest path (repository update without pending state).
-  set_awaiting(pending, {});
-  if (targets.empty()) return;
-  cancels_sent_ += targets.size();
-  history_[pending.record_index].cancels_sent += targets.size();
-  if (cancels_counter_ != nullptr) cancels_counter_->add(targets.size());
-  group_.send(endpoint_, targets,
-              net::Payload::make(proto::Cancel{id, client_, pending.method},
-                                 proto::kCancelBytes));
-}
-
-void TimingFaultHandler::on_receive(EndpointId, const net::Payload& message) {
-  if (const auto* reply = message.get_if<proto::Reply>()) {
-    handle_reply(*reply);
-    return;
-  }
-  if (const auto* update = message.get_if<proto::PerfUpdate>()) {
-    handle_perf_update(*update);
-    return;
-  }
-  if (const auto* announce = message.get_if<proto::Announce>()) {
-    handle_announce(*announce);
-    return;
-  }
-  // Subscribe broadcasts from sibling clients land here too; ignore them.
-}
-
-void TimingFaultHandler::handle_reply(const proto::Reply& reply) {
-  const TimePoint t4 = simulator_.now();
-  if (replies_counter_ != nullptr) replies_counter_->add();
-  const core::PerfSample sample{reply.perf.service_time, reply.perf.queuing_delay,
-                                reply.perf.queue_length, reply.perf.sample_seq};
-  // Every reply, first or redundant, refreshes the repository (§5.4.1).
-  if (replica_endpoints_.contains(reply.replica)) {
-    repository_.record_perf(reply.replica, sample, t4, reply.method);
-  }
-
-  auto it = pending_.find(reply.request);
-  if (it == pending_.end()) return;  // very late reply; history window moved on
-  PendingRequest& pending = it->second;
-
-  // t_d = t4 - t1 - t_q - t_s: the two-way gateway-to-gateway delay.
-  // Negative raw values mean the clock bases disagree (or t1 was reset by
-  // a redispatch after this copy left); the clamp keeps the model sane
-  // but the count must be visible, not silent — a runtime with a real
-  // basis mismatch would otherwise just look optimistically close.
-  const Duration td_raw = t4 - pending.t1 - reply.perf.queuing_delay - reply.perf.service_time;
-  if (td_raw < Duration::zero()) {
-    ++td_clamped_;
-    if (td_clamped_counter_ != nullptr) td_clamped_counter_->add();
-  }
-  const Duration td = std::max(Duration::zero(), td_raw);
-  if (replica_endpoints_.contains(reply.replica)) {
-    repository_.record_gateway_delay(reply.replica, td, t4, reply.perf.sample_seq);
-  }
-
-  remove_awaiting(pending, reply.replica);
-
-  // The completion predicate decides delivery. Unarmed (the default
-  // path, and probes) the collector is first-of-n with the wire-default
-  // generation tag, so `completed` is exactly the old `!delivered` gate:
-  // true for reply #1, false for every redundant one. Armed k-of-n
-  // completes at the k-th distinct chunk; quorum at the k-th distinct
-  // replica. Stale generations and duplicate chunks never complete.
-  const bool completed = pending.collector.record(reply.replica, reply.chunk, reply.code_id);
-  if (pending.collector.armed()) {
-    history_[pending.record_index].chunks_received = pending.collector.distinct();
-  }
-
-  if (completed) {
-    pending.delivered = true;
-    const Duration tr = t4 - pending.t0;  // t_r = t4 - t0
-    const bool timely = tr <= pending.qos.deadline;
-    RequestRecord& record = history_[pending.record_index];
-    record.response_time = tr;
-    // Stash the completing reply's perf triple for the telemetry trace
-    // before the outcome is recorded (emit_request_trace reads it).
-    pending.t4 = t4;
-    pending.first_service = reply.perf.service_time;
-    pending.first_queuing = reply.perf.queuing_delay;
-    pending.first_gateway = td;
-    pending.first_replica = reply.replica;
-    // Completion beat the hedge timer: the backups are never sent.
-    pending.hedge_timer.cancel();
-    pending.hedge_set.clear();
-    if (config_.dispatch.cancel_on_first_reply && !pending.is_probe) {
-      // For coded dispatch this fires at the k-th distinct chunk — the
-      // earliest moment the remaining copies become provably redundant.
-      send_cancels(reply.request, pending);
-    }
-    if (response_time_histogram_ != nullptr && !pending.is_probe) {
-      response_time_histogram_->record(tr);
-    }
-    if (span_sink_ != nullptr) {
-      if (pending.root_span == 0) pending.root_span = span_sink_->next_span_id();
-      // A first reply that beats the deadline closes the wait-for-first-
-      // reply merge (t1 -> t4); one that arrives after the outcome was
-      // decided closes the late-reply harvest window instead.
-      const bool late = pending.outcome_recorded && !pending.is_probe;
-      span_sink_->record_span({.trace_id = pending.trace_id,
-                               .span_id = span_sink_->next_span_id(),
-                               .parent_span_id = pending.root_span,
-                               .kind = late ? obs::SpanKind::kLateReply
-                                            : obs::SpanKind::kFirstReply,
-                               .client = client_,
-                               .request = reply.request,
-                               .replica = reply.replica,
-                               .start = late ? pending.t0 + pending.qos.deadline : pending.t1,
-                               .end = t4,
-                               .ok = late ? false : timely});
-    }
-    if (!pending.outcome_recorded && !pending.is_probe) {
-      pending.deadline_timer.cancel();
-      record_outcome(pending, timely);
-    } else if (obs_ != nullptr) {
-      if (pending.is_probe) {
-        // Probes never pass through record_outcome; trace them on reply
-        // and close their root span here.
-        emit_request_trace(pending, timely);
-        if (span_sink_ != nullptr) {
-          span_sink_->record_span({.trace_id = pending.trace_id,
-                                   .span_id = pending.root_span,
-                                   .parent_span_id = 0,
-                                   .kind = obs::SpanKind::kRequest,
-                                   .client = client_,
-                                   .request = reply.request,
-                                   .replica = reply.replica,
-                                   .start = pending.t0,
-                                   .end = t4,
-                                   .ok = timely});
-        }
-      } else if (pending.trace_recorded) {
-        // Late first reply: the deadline already decided the outcome and
-        // emitted the trace — amend it in place, exactly like
-        // RequestRecord::response_time above.
-        obs_->amend_request(pending.trace_seq, t4, tr, reply.replica,
-                            reply.perf.service_time, reply.perf.queuing_delay, td);
-      }
-    }
-    ReplyInfo info{reply.request, reply.replica, reply.result, tr, timely};
-    if (pending.on_reply) pending.on_reply(info);
-  }
-  finish_if_complete(reply.request);
-}
-
-void TimingFaultHandler::handle_perf_update(const proto::PerfUpdate& update) {
-  if (!replica_endpoints_.contains(update.replica)) return;  // not in the current view
-  const core::PerfSample sample{update.perf.service_time, update.perf.queuing_delay,
-                                update.perf.queue_length, update.perf.sample_seq};
-  repository_.record_perf(update.replica, sample, simulator_.now(), update.method);
-}
-
-void TimingFaultHandler::handle_announce(const proto::Announce& announce) {
-  auto [it, inserted] = replica_endpoints_.try_emplace(announce.replica, announce.endpoint);
-  if (!inserted && it->second == announce.endpoint) return;
-  if (!inserted) {
-    // The replica restarted with a new endpoint.
-    endpoint_replicas_.erase(it->second);
-    it->second = announce.endpoint;
-  }
-  endpoint_replicas_[announce.endpoint] = announce.replica;
-  repository_.add_replica(announce.replica);
-  // Make sure the replica pushes its performance updates to us.
-  lan_.unicast(endpoint_, announce.endpoint,
-               net::Payload::make(proto::Subscribe{client_, endpoint_}, proto::kSubscribeBytes));
-  // Requests intercepted before any replica was known are still parked;
-  // dispatch them once the Announce burst settles (each new announce
-  // pushes the settle point, so the cold-start selection sees the whole
-  // burst rather than whichever announce happened to arrive first).
-  parked_dispatch_.cancel();
-  parked_dispatch_ = simulator_.schedule_after(config_.discovery_settle, [this] {
-    std::vector<RequestId> parked;
-    for (const auto& [id, pending] : pending_) {
-      if (!pending.dispatched && !pending.delivered) parked.push_back(id);
-    }
-    for (RequestId id : parked) {
-      auto pit = pending_.find(id);
-      if (pit != pending_.end() && !pit->second.dispatched) {
-        dispatch(id, pit->second, /*redispatch=*/false);
-      }
-    }
-  });
-}
-
-void TimingFaultHandler::on_view_change(const net::View&, std::span<const EndpointId> departed) {
-  std::vector<ReplicaId> dead;
-  for (EndpointId endpoint : departed) {
-    auto it = endpoint_replicas_.find(endpoint);
-    if (it == endpoint_replicas_.end()) continue;  // a client left, not a replica
-    dead.push_back(it->second);
-    repository_.remove_replica(it->second);
-    model_cache_->invalidate(it->second);
-    replica_endpoints_.erase(it->second);
-    endpoint_replicas_.erase(it);
-  }
-  if (dead.empty()) return;
-  if (replicas_evicted_counter_ != nullptr) {
-    replicas_evicted_counter_->add(dead.size());
-    obs_->annotate(simulator_.now(), "view_change",
-                   "client-" + std::to_string(client_.value()) + " evicted " +
-                       std::to_string(dead.size()) + " replica(s)");
-  }
-  if (obs_ != nullptr) {
-    for (ReplicaId replica : dead) {
-      obs_->record_alert({.kind = obs::AlertKind::kReplicaEvicted,
-                          .at = simulator_.now(),
-                          .client = client_,
-                          .replica = replica,
-                          .observed = static_cast<double>(dead.size()),
-                          .threshold = 0.0,
-                          .detail = "view change"});
-    }
-  }
-
-  std::vector<RequestId> to_redispatch;
-  std::vector<RequestId> to_hedge;
-  std::vector<RequestId> dead_probes;
-  for (auto& [id, pending] : pending_) {
-    for (ReplicaId replica : dead) {
-      remove_awaiting(pending, replica);
-      std::erase(pending.hedge_set, replica);
-    }
-    if (pending.delivered) continue;
-    // Completion-aware satisfiability: chunks already collected plus
-    // copies still in flight plus the held hedge set must be able to
-    // reach the predicate's k. For the default first-of-n this reduces
-    // to the old "someone is still awaited" test exactly. The k−1-then-
-    // crash stall falls through here: awaiting drained below k distinct
-    // chunks means the request can never complete on its own — release
-    // the hedge set if that closes the gap, otherwise reselect.
-    const std::size_t reachable =
-        pending.collector.distinct() + pending.awaiting.size() + pending.hedge_set.size();
-    if (!pending.awaiting.empty() && reachable >= pending.collector.required()) continue;
-    if (pending.is_probe) {
-      // A probe's only target crashed. Re-running selection for it would
-      // turn a repository refresh into a phantom client request (wrong
-      // method, no reply callback, |K|-wide multicast) — and it kept the
-      // probe registered in outstanding_ long past any use. Drop it; the
-      // staleness scan re-probes whoever needs it.
-      dead_probes.push_back(id);
-    } else if (!pending.hedge_set.empty() && reachable >= pending.collector.required()) {
-      // The primary crashed while backups were still held behind the
-      // hedge timer: release them now instead of re-running selection.
-      to_hedge.push_back(id);
-    } else if (config_.redispatch_on_view_change) {
-      to_redispatch.push_back(id);
-    }
-  }
-  for (RequestId id : dead_probes) erase_pending(id);
-  for (RequestId id : to_hedge) {
-    AQUA_LOG_DEBUG << "handler " << client_.value() << ": releasing hedge set of request "
-                   << id.value() << " after primary crash";
-    fire_hedge(id);
-  }
-  for (RequestId id : to_redispatch) {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) continue;
-    AQUA_LOG_DEBUG << "handler " << client_.value() << ": redispatching request " << id.value()
-                   << " after replica crash";
-    dispatch(id, it->second, /*redispatch=*/true);
-  }
-}
-
-void TimingFaultHandler::record_outcome(PendingRequest& pending, bool timely) {
-  AQUA_ASSERT(!pending.outcome_recorded);
-  pending.outcome_recorded = true;
-  history_[pending.record_index].timely = timely;
-  tracker_.record(timely);
-  if (timely_counter_ != nullptr) {
-    (timely ? timely_counter_ : timing_failures_counter_)->add();
-  }
-  if (obs_ != nullptr) {
-    emit_request_trace(pending, timely);
-    // Calibration before the violation check below: on the sample that
-    // trips both detectors, the drift alert lands first in the ring.
-    obs_->record_calibration(simulator_.now(), client_,
-                             pending.delivered ? pending.first_replica : ReplicaId{},
-                             history_[pending.record_index].predicted_probability, timely);
-  }
-  if (span_sink_ != nullptr) {
-    // Close the root span at decision time — min(first reply, deadline).
-    // Requests whose replicas all crashed close here too (via the
-    // deadline timer), so the span ring never holds a dangling root.
-    if (pending.root_span == 0) pending.root_span = span_sink_->next_span_id();
-    span_sink_->record_span({.trace_id = pending.trace_id,
-                             .span_id = pending.root_span,
-                             .parent_span_id = 0,
-                             .kind = obs::SpanKind::kRequest,
-                             .client = client_,
-                             .request = history_[pending.record_index].request,
-                             .replica = pending.first_replica,
-                             .start = pending.t0,
-                             .end = simulator_.now(),
-                             .ok = timely});
-  }
-  const bool violating = tracker_.violates(pending.qos.min_probability);
-  if (violating && !violation_reported_) {
-    violation_reported_ = true;
-    if (qos_violations_counter_ != nullptr) {
-      qos_violations_counter_->add();
-      obs_->annotate(simulator_.now(), "qos_violation",
-                     "client-" + std::to_string(client_.value()));
-    }
-    if (obs_ != nullptr) {
-      obs_->record_alert({.kind = obs::AlertKind::kQosViolation,
-                          .at = simulator_.now(),
-                          .client = client_,
-                          .replica = {},
-                          .observed = tracker_.timely_fraction(),
-                          .threshold = pending.qos.min_probability,
-                          .detail = "timely fraction below requested minimum"});
-    }
-    if (on_violation_) on_violation_(tracker_.timely_fraction());
-  } else if (!violating) {
-    if (violation_reported_ && obs_ != nullptr) {
-      obs_->record_alert({.kind = obs::AlertKind::kQosRecovered,
-                          .at = simulator_.now(),
-                          .client = client_,
-                          .replica = {},
-                          .observed = tracker_.timely_fraction(),
-                          .threshold = pending.qos.min_probability,
-                          .detail = "timely fraction recovered"});
-    }
-    violation_reported_ = false;  // re-arm after recovery
-  }
-}
-
-/// Build the request lifecycle trace from the history record + pending
-/// state. Called exactly once per decided request: from record_outcome
-/// for client requests (at min(first reply, deadline)) and from
-/// handle_reply for answered probes.
-void TimingFaultHandler::emit_request_trace(PendingRequest& pending, bool timely) {
-  const RequestRecord& record = history_[pending.record_index];
-  obs::RequestTrace trace;
-  trace.client = client_;
-  trace.request = record.request;
-  trace.probe = pending.is_probe;
-  trace.t0 = record.intercepted_at;
-  trace.t1 = record.transmitted_at;
-  trace.deadline = pending.qos.deadline;
-  trace.min_probability = pending.qos.min_probability;
-  trace.predicted_probability = record.predicted_probability;
-  trace.redundancy = record.redundancy;
-  trace.cold_start = record.cold_start;
-  trace.feasible = record.feasible;
-  trace.redispatched = record.redispatched;
-  trace.timely = timely;
-  if (pending.delivered) {
-    trace.answered = true;
-    trace.t4 = pending.t4;
-    trace.response_time = record.response_time;
-    trace.service_time = pending.first_service;
-    trace.queuing_delay = pending.first_queuing;
-    trace.gateway_delay = pending.first_gateway;
-    trace.first_replica = pending.first_replica;
-  }
-  pending.trace_seq = obs_->record_request(std::move(trace));
-  pending.trace_recorded = true;
-}
-
-void TimingFaultHandler::finish_if_complete(RequestId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  const PendingRequest& pending = it->second;
-  if (pending.awaiting.empty() && (pending.outcome_recorded || pending.is_probe)) {
-    pending_.erase(it);
-  }
-}
-
-void TimingFaultHandler::set_qos(core::QosSpec qos) {
-  qos.validate();
-  qos_ = qos;
-  tracker_.reset();
-  violation_reported_ = false;
-  if (obs_ != nullptr) {
-    obs_->record_alert({.kind = obs::AlertKind::kQosRenegotiated,
-                        .at = simulator_.now(),
-                        .client = client_,
-                        .replica = {},
-                        .observed = static_cast<double>(count_us(qos_.deadline)),
-                        .threshold = qos_.min_probability,
-                        .detail = "qos renegotiated"});
-  }
+  return {config_.overhead.interception + cost, cost};
 }
 
 }  // namespace aqua::gateway

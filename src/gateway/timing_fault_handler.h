@@ -1,26 +1,13 @@
 // The timing fault handler (§5.4) — the client-side gateway protocol
-// handler that this paper contributes.
-//
-// Request path (§5.4.1): intercept the client call at t0, run the
-// model-based selection against the local information repository, record
-// the transmission time t1, multicast the request to the selected
-// replicas through the group, deliver only the FIRST reply (recording
-// t4), harvest the performance data piggybacked on every reply — t_s,
-// t_q, queue length, and the derived two-way gateway delay
-// t_d = t4 - t1 - t_q - t_s — and detect timing failures
-// (t_r = t4 - t0 > t), issuing a QoS-violation callback when the timely
-// fraction drops below the client's requested probability (§5.4.2).
-//
-// Membership: replicas advertise themselves with Announce messages; view
-// changes from the group evict crashed replicas from the repository so
-// "these failed replicas will therefore not be considered in the
-// selection process for future requests" (§5.4).
+// handler that this paper contributes — on the simulator. The request
+// lifecycle (§5.4.1–5.4.2) is core::RequestEngine; this driver joins the
+// service group, carries the engine's sends over it, turns its timers
+// into Simulator events, feeds it the group's view changes, and charges
+// the handler's own processing (OverheadModel) as simulated delay.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,21 +15,14 @@
 #include "common/ids.h"
 #include "common/rng.h"
 #include "common/time.h"
-#include "core/failure_tracker.h"
-#include "core/info_repository.h"
-#include "core/model_cache.h"
 #include "core/policies.h"
 #include "core/qos.h"
-#include "core/selection.h"
+#include "core/request_engine.h"
 #include "net/group.h"
 #include "net/lan.h"
-#include "proto/messages.h"
-#include "sim/periodic.h"
 #include "sim/simulator.h"
 
 namespace aqua::obs {
-class Counter;
-class Histogram;
 class Telemetry;
 }  // namespace aqua::obs
 
@@ -123,46 +103,13 @@ struct HandlerConfig {
   obs::Telemetry* telemetry = nullptr;
 };
 
-/// Delivered to the client application for the first reply of a request.
-struct ReplyInfo {
-  RequestId request;
-  ReplicaId replica;
-  std::int64_t result = 0;
-  /// t_r = t4 - t0.
-  Duration response_time{};
-  bool timely = false;
-};
+/// The engine's reply and record types, under their gateway names.
+using ReplyInfo = core::ReplyInfo;
+using RequestRecord = core::RequestRecord;
 
-/// One row of the handler's request log (experiment raw data).
-struct RequestRecord {
-  RequestId request;
-  TimePoint intercepted_at{};  // t0
-  TimePoint transmitted_at{};  // t1
-  core::QosSpec qos;
-  std::size_t redundancy = 0;  // |K|
-  bool cold_start = false;
-  bool feasible = false;
-  double predicted_probability = 0.0;
-  bool redispatched = false;
-  /// True for handler-initiated staleness probes; excluded from client
-  /// statistics.
-  bool probe = false;
-  /// Hedged dispatch: the request went to the best replica only, with
-  /// the rest of K held behind the hedge timer.
-  bool hedged = false;
-  /// The hedge timer expired (or the primary crashed) and the held-back
-  /// members were actually sent.
-  bool hedge_fired = false;
-  /// Cancels sent to still-awaiting replicas after the completing reply.
-  std::size_t cancels_sent = 0;
-  /// Coded dispatch: distinct chunks required (0 = uncoded) and distinct
-  /// chunk-replies collected so far.
-  std::uint32_t code_k = 0;
-  std::size_t chunks_received = 0;
-  std::optional<Duration> response_time;  // empty until delivery
-  bool timely = false;
-};
-
+/// The simulation driver of core::RequestEngine: maps its timers onto
+/// Simulator events and its sends onto the multicast group, and charges
+/// OverheadModel's interception and selection cost as simulated delay.
 class TimingFaultHandler {
  public:
   using ReplyCallback = std::function<void(const ReplyInfo&)>;
@@ -175,6 +122,7 @@ class TimingFaultHandler {
   TimingFaultHandler(sim::Simulator& simulator, net::Lan& lan, net::MulticastGroup& group,
                      ClientId client, HostId host, core::QosSpec qos, Rng rng,
                      HandlerConfig config = {}, core::PolicyPtr policy = nullptr);
+  ~TimingFaultHandler();
 
   TimingFaultHandler(const TimingFaultHandler&) = delete;
   TimingFaultHandler& operator=(const TimingFaultHandler&) = delete;
@@ -185,184 +133,52 @@ class TimingFaultHandler {
                    const std::string& method = core::kDefaultMethod);
 
   /// Runtime QoS renegotiation (§4); resets the failure tracker.
-  void set_qos(core::QosSpec qos);
-  [[nodiscard]] const core::QosSpec& qos() const { return qos_; }
+  void set_qos(core::QosSpec qos) { engine_.set_qos(simulator_.now(), qos); }
+  [[nodiscard]] const core::QosSpec& qos() const { return engine_.qos(); }
 
   void on_qos_violation(QosViolationCallback fn) { on_violation_ = std::move(fn); }
-
-  [[nodiscard]] ClientId client() const { return client_; }
-  [[nodiscard]] EndpointId endpoint() const { return endpoint_; }
-  [[nodiscard]] const core::InfoRepository& repository() const { return repository_; }
-  [[nodiscard]] const core::TimingFailureTracker& failure_tracker() const { return tracker_; }
 
   /// Raw per-request log, in invocation order.
   [[nodiscard]] const std::vector<RequestRecord>& history() const { return history_; }
 
-  /// Replicas currently known (directory built from Announce messages).
-  [[nodiscard]] std::size_t known_replicas() const { return replica_endpoints_.size(); }
-
-  /// delta currently used for overhead compensation.
-  [[nodiscard]] Duration overhead_delta() const { return overhead_.current(); }
-
-  /// Staleness probes sent so far (probe_staleness extension).
-  [[nodiscard]] std::uint64_t probes_sent() const { return probes_sent_; }
-
-  /// Hedge timers that actually fired (hedged dispatch mode).
-  [[nodiscard]] std::uint64_t hedges_fired() const { return hedges_fired_; }
-
-  /// proto::Cancel messages sent after first replies.
-  [[nodiscard]] std::uint64_t cancels_sent() const { return cancels_sent_; }
-
-  /// Times the derived gateway delay t_d = t4 - t1 - t_q - t_s came out
-  /// negative and was clamped to zero. Nonzero means clock bases
-  /// disagree (or stale replies outlived a redispatched t1); sim runs
-  /// without redispatch must stay at exactly 0.
-  [[nodiscard]] std::uint64_t td_clamped() const { return td_clamped_; }
-
-  /// Response-pmf memoization shared with the default dynamic policy
-  /// (hit/miss/invalidation/eviction counters for diagnostics).
-  [[nodiscard]] const core::ModelCache& model_cache() const { return *model_cache_; }
-
-  /// Requests and probes currently in flight to `replica` (O(1); kept in
-  /// sync with every pending request's awaiting set).
+  // The engine's state. known_replicas: the Announce directory;
+  // overhead_delta: the delta of §5.3.3's compensation; td_clamped: raw
+  // t_d = t4 - t1 - t_q - t_s below zero (each copy is timed from its own
+  // send, so nonzero means clock bases disagree); outstanding_requests:
+  // requests and probes in flight to one replica.
+  [[nodiscard]] ClientId client() const { return engine_.client(); }
+  [[nodiscard]] EndpointId endpoint() const { return endpoint_; }
+  [[nodiscard]] const core::InfoRepository& repository() const { return engine_.repository(); }
+  [[nodiscard]] const core::TimingFailureTracker& failure_tracker() const {
+    return engine_.failure_tracker();
+  }
+  [[nodiscard]] std::size_t known_replicas() const { return engine_.directory().size(); }
+  [[nodiscard]] Duration overhead_delta() const { return engine_.overhead_delta(); }
+  [[nodiscard]] std::uint64_t probes_sent() const { return engine_.probes_sent(); }
+  [[nodiscard]] std::uint64_t hedges_fired() const { return engine_.hedges_fired(); }
+  [[nodiscard]] std::uint64_t cancels_sent() const { return engine_.cancels_sent(); }
+  [[nodiscard]] std::uint64_t td_clamped() const { return engine_.td_clamped(); }
+  [[nodiscard]] const core::ModelCache& model_cache() const { return engine_.model_cache(); }
   [[nodiscard]] std::size_t outstanding_requests(ReplicaId replica) const {
-    auto it = outstanding_.find(replica);
-    return it == outstanding_.end() ? 0 : it->second;
+    return engine_.outstanding_requests(replica);
   }
 
  private:
-  struct PendingRequest {
-    std::size_t record_index = 0;
-    TimePoint t0{};
-    TimePoint t1{};
-    core::QosSpec qos;
-    std::string method;
-    std::int64_t argument = 0;
-    std::vector<ReplicaId> awaiting;  // selected replicas yet to reply
-    ReplyCallback on_reply;
-    bool dispatched = false;  // selection ran with a non-empty directory
-    bool delivered = false;
-    bool outcome_recorded = false;
-    bool is_probe = false;
-    sim::EventHandle deadline_timer;
-
-    /// Hedged dispatch: members of K not yet transmitted, waiting on the
-    /// hedge timer (they are NOT in awaiting until the hedge fires).
-    std::vector<ReplicaId> hedge_set;
-    sim::EventHandle hedge_timer;
-
-    /// Completion predicate state. Default-constructed it is the paper's
-    /// first-of-n (so the default path never arms it); a non-default
-    /// dispatch plan arms it once, at the first dispatch, and every reply
-    /// is recorded through it. Delivery happens on the reply whose
-    /// record() returns true — the k-th distinct chunk for k-of-n.
-    core::ReplyCollector collector;
-    /// Chunks per copy of a coded dispatch (0 = uncoded); fixed at the
-    /// first dispatch so redispatches keep the same decoding contract.
-    std::uint32_t code_k = 0;
-    /// Next fresh chunk index — rateless MDS: every newly assigned index
-    /// is distinct, so redispatch/hedge copies always add information.
-    std::uint32_t next_chunk = 0;
-
-    /// First reply's perf triple, stashed for the telemetry trace.
-    TimePoint t4{};
-    Duration first_service{};
-    Duration first_queuing{};
-    Duration first_gateway{};
-    ReplicaId first_replica{};
-
-    /// Sequence of the emitted obs::RequestTrace, for the late-reply
-    /// amendment (valid while trace_recorded).
-    std::uint64_t trace_seq = 0;
-    bool trace_recorded = false;
-
-    /// Causal tracing (obs/span.h): the request's trace id and its root
-    /// kRequest span id. The root id is allocated lazily at the first
-    /// hop that needs a parent and the span itself is recorded — closed
-    /// — when the outcome is decided, so no crash can leave it open.
-    std::uint64_t trace_id = 0;
-    std::uint64_t root_span = 0;
-  };
-
-  void on_receive(EndpointId from, const net::Payload& message);
-  void handle_reply(const proto::Reply& reply);
-  void handle_perf_update(const proto::PerfUpdate& update);
-  void handle_announce(const proto::Announce& announce);
-  void on_view_change(const net::View& view, std::span<const EndpointId> departed);
-  void dispatch(RequestId id, PendingRequest& pending, bool redispatch);
-  /// Transmit the held-back hedge set now (timer expiry, or the primary
-  /// crashed before replying). No-op once the request was delivered.
-  void fire_hedge(RequestId id);
-  /// Cancel-on-first-reply: withdraw the request from every replica
-  /// still awaited, then stop awaiting them.
-  void send_cancels(RequestId id, PendingRequest& pending);
-  void record_outcome(PendingRequest& pending, bool timely);
-  void emit_request_trace(PendingRequest& pending, bool timely);
-  void finish_if_complete(RequestId id);
-  void probe_stale_replicas();
-  void send_probe(ReplicaId replica);
-
-  // The awaiting set of a pending request is only ever changed through
-  // these three, which keep the per-replica outstanding_ counts in sync.
-  void set_awaiting(PendingRequest& pending, std::vector<ReplicaId> replicas);
-  void add_awaiting(PendingRequest& pending, std::span<const ReplicaId> replicas);
-  void remove_awaiting(PendingRequest& pending, ReplicaId replica);
-  void erase_pending(RequestId id);
-  void drop_outstanding(ReplicaId replica, std::size_t count);
+  /// Carry out the engine's actions in order.
+  void run(core::Actions& actions);
+  /// OverheadModel's price of one selection, plus its SelectionTrace.
+  core::DispatchCost selection_cost(const core::SelectionView& view);
 
   sim::Simulator& simulator_;
   net::Lan& lan_;
   net::MulticastGroup& group_;
-  ClientId client_;
-  core::QosSpec qos_;
-  Rng rng_;
   HandlerConfig config_;
-  std::shared_ptr<core::ModelCache> model_cache_;
-  /// Shares the model cache with the default policy; evaluated only in
-  /// hedged mode (the hedge-delay quantile), never on the default path.
-  core::ResponseTimeModel dispatch_model_;
-  core::PolicyPtr policy_;
-  core::InfoRepository repository_;
-  core::TimingFailureTracker tracker_;
-  core::OverheadEstimator overhead_;
-
-  EndpointId endpoint_;
-  IdGenerator<RequestId> request_ids_;
-  std::unordered_map<ReplicaId, EndpointId> replica_endpoints_;
-  std::unordered_map<EndpointId, ReplicaId> endpoint_replicas_;
-  std::unordered_map<RequestId, PendingRequest> pending_;
-  /// replica -> number of pending awaiting entries naming it (absent = 0).
-  std::unordered_map<ReplicaId, std::size_t> outstanding_;
   std::vector<RequestRecord> history_;
+  core::RequestEngine engine_;
+  EndpointId endpoint_;
+  std::unordered_map<std::uint64_t, sim::EventHandle> timers_;  // engine timer id -> event
+  std::unordered_map<RequestId, ReplyCallback> callbacks_;
   QosViolationCallback on_violation_;
-  sim::EventHandle parked_dispatch_;
-  sim::PeriodicTask probe_task_;
-  bool violation_reported_ = false;
-  std::uint64_t probes_sent_ = 0;
-  std::uint64_t hedges_fired_ = 0;
-  std::uint64_t cancels_sent_ = 0;
-  std::uint64_t td_clamped_ = 0;
-
-  /// Telemetry wiring: obs_ mirrors config_.telemetry; the metric
-  /// pointers are resolved once in the constructor and stay null when
-  /// telemetry is disabled (one-branch discipline on every hot site).
-  obs::Telemetry* obs_ = nullptr;
-  obs::Counter* requests_counter_ = nullptr;
-  obs::Counter* probes_counter_ = nullptr;
-  obs::Counter* replies_counter_ = nullptr;
-  obs::Counter* timely_counter_ = nullptr;
-  obs::Counter* timing_failures_counter_ = nullptr;
-  obs::Counter* redispatches_counter_ = nullptr;
-  obs::Counter* hedges_counter_ = nullptr;
-  obs::Counter* cancels_counter_ = nullptr;
-  obs::Counter* qos_violations_counter_ = nullptr;
-  obs::Counter* replicas_evicted_counter_ = nullptr;
-  obs::Counter* td_clamped_counter_ = nullptr;
-  obs::Histogram* response_time_histogram_ = nullptr;
-  obs::Histogram* selection_delta_histogram_ = nullptr;
-  /// Non-null only when telemetry is attached and spans are enabled in
-  /// its config; gates every span-recording site at one branch.
-  obs::Telemetry* span_sink_ = nullptr;
 };
 
 }  // namespace aqua::gateway

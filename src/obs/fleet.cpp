@@ -244,10 +244,6 @@ std::vector<StitchedTrace> stitch_traces(std::span<const SpanRecord> spans) {
 FleetCollector::FleetCollector(std::vector<FleetEndpoint> endpoints, ScrapeOptions options)
     : endpoints_(std::move(endpoints)), options_(options), states_(endpoints_.size()) {}
 
-std::int64_t FleetCollector::collector_now_us() const {
-  return us_between(epoch_, Clock::now());
-}
-
 FleetSnapshot FleetCollector::collect() {
   FleetSnapshot snapshot;
   const Clock::time_point scrape_start = Clock::now();

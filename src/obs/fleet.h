@@ -194,13 +194,13 @@ class FleetCollector {
     FleetNodeData data;
   };
 
-  /// µs since this collector was constructed (the collector time axis).
-  [[nodiscard]] std::int64_t collector_now_us() const;
+  /// The collector time axis: the process's steady clock (steady_now),
+  /// the same base a hub in this process stamps its /snapshot with.
+  [[nodiscard]] static std::int64_t collector_now_us() { return count_us(steady_now()); }
 
   std::vector<FleetEndpoint> endpoints_;
   ScrapeOptions options_;
   std::vector<NodeState> states_;
-  std::chrono::steady_clock::time_point epoch_ = std::chrono::steady_clock::now();
 };
 
 /// Stitch already-merged spans (collector axis) into per-trace

@@ -79,13 +79,11 @@ class Telemetry {
   /// run assigns identical ids on every execution.
   [[nodiscard]] std::uint64_t next_span_id() { return span_id_counter_.fetch_add(1, std::memory_order_relaxed) + 1; }
 
-  /// Wall-clock "now" mapped onto the TimePoint axis (µs since this
-  /// Telemetry was constructed). Only the threaded runtime calls this;
-  /// the simulator stamps spans with sim time and never touches it.
-  [[nodiscard]] TimePoint wall_now() const {
-    const auto elapsed = std::chrono::steady_clock::now() - wall_epoch_;
-    return TimePoint{std::chrono::duration_cast<Duration>(elapsed)};
-  }
+  /// Wall-clock "now" on the TimePoint axis: the process's steady clock
+  /// (steady_now), so every hub in a process shares one time base. Only
+  /// the threaded runtime calls this; the simulator stamps spans with sim
+  /// time and never touches it.
+  [[nodiscard]] TimePoint wall_now() const { return steady_now(); }
 
   /// Record a decided request; returns a sequence number usable with
   /// amend_request.
@@ -185,8 +183,6 @@ class Telemetry {
   std::deque<AlertEvent> alerts_;
   std::uint64_t alerts_recorded_ = 0;
   std::uint64_t alerts_dropped_ = 0;
-
-  std::chrono::steady_clock::time_point wall_epoch_ = std::chrono::steady_clock::now();
 };
 
 }  // namespace aqua::obs

@@ -1,36 +1,30 @@
-// Wall-clock client handler: the paper's selection loop over real threads.
-//
-// invoke() runs the same pipeline as the simulated timing fault handler —
-// observe repository, select with Algorithm 1 (delta measured from the
-// REAL wall clock, as the paper's implementation does), fan the request
-// out over a net::Transport (LocalTransport in process, UdpTransport
-// across processes), deliver the first reply, harvest performance data
-// from every reply — and blocks until the first reply or a give-up
-// timeout.
+// Wall-clock client handler: the threaded driver of core::RequestEngine,
+// over a net::Transport (LocalTransport in process, UdpTransport across
+// processes), with delta measured from the REAL wall clock as in the
+// paper's implementation. invoke() blocks until the completing reply or
+// a give-up timeout. No thread of its own runs the engine's timers: a
+// blocked invoke() sleeps until its delivery or the engine's next timer,
+// and runs every timer that is due; timers that outlive their caller
+// (state reclamation) run at the next invoke or message.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "core/failure_tracker.h"
-#include "core/info_repository.h"
-#include "core/policies.h"
-#include "core/qos.h"
-#include "core/selection.h"
+#include "core/request_engine.h"
 #include "net/transport.h"
-#include "proto/messages.h"
 
 namespace aqua::obs {
-class Counter;
-class Histogram;
 class Telemetry;
 }  // namespace aqua::obs
 
@@ -82,16 +76,12 @@ class ThreadedClient {
     bool cold_start = false;
     ReplicaId first_replica{};
     std::int64_t result = 0;
-    /// Wall-clock cost of model + selection for this invocation.
+    /// The rest mirror core::RequestRecord as of delivery (or give-up);
+    /// selection_overhead is its wall-clock selection_delta.
     Duration selection_overhead{};
-    /// True when the dispatch plan split K (hedged mode, warm history).
     bool hedged = false;
-    /// True when the hedge timer expired and the backup copies were sent.
     bool hedge_fired = false;
-    /// Cancels sent to still-pending replicas after the completing reply.
     std::size_t cancels_sent = 0;
-    /// Coded dispatch: distinct chunks required (0 = uncoded) and
-    /// distinct chunk-replies collected by the time invoke() returned.
     std::uint32_t code_k = 0;
     std::size_t chunks_received = 0;
   };
@@ -103,11 +93,11 @@ class ThreadedClient {
   ThreadedClient(const ThreadedClient&) = delete;
   ThreadedClient& operator=(const ThreadedClient&) = delete;
 
-  /// Issue one request and block for the first reply (or give up).
+  /// Issue one request and block for the completing reply (or give up).
   Outcome invoke(std::int64_t argument);
 
-  /// Remove a crashed replica from consideration (the runtime analogue of
-  /// the membership view change).
+  /// Remove a crashed replica from consideration: a membership view
+  /// change, so requests it leaves unable to complete are redispatched.
   void remove_replica(ReplicaId id);
 
   /// The client's own endpoint on the transport.
@@ -122,7 +112,9 @@ class ThreadedClient {
   void subscribe_to(EndpointId peer);
 
   void set_qos(core::QosSpec qos);
-  [[nodiscard]] const core::QosSpec& qos() const { return qos_; }
+  [[nodiscard]] core::QosSpec qos() const {
+    return locked([](const Engine& e) { return e.qos(); });
+  }
 
   /// Stop message intake: destroy the transport endpoint, waiting out a
   /// delivery in progress — after this no message can touch this client.
@@ -130,25 +122,32 @@ class ThreadedClient {
   /// threads are joined. Idempotent.
   void shutdown();
 
-  /// Snapshot accessors (thread-safe).
-  [[nodiscard]] double timely_fraction() const;
-  [[nodiscard]] bool qos_violated() const;
-  [[nodiscard]] std::size_t known_replicas() const;
-
-  /// Lifetime dispatch counters (thread-safe).
-  [[nodiscard]] std::uint64_t hedges_fired() const {
-    return hedges_fired_.load(std::memory_order_relaxed);
+  /// Snapshots of the engine's state and lifetime counters (thread-safe).
+  [[nodiscard]] double timely_fraction() const {
+    return locked([](const Engine& e) { return e.failure_tracker().timely_fraction(); });
   }
-  [[nodiscard]] std::uint64_t cancels_sent() const {
-    return cancels_sent_.load(std::memory_order_relaxed);
+  [[nodiscard]] bool qos_violated() const {
+    return locked(
+        [](const Engine& e) { return e.failure_tracker().violates(e.qos().min_probability); });
   }
+  [[nodiscard]] std::size_t known_replicas() const {
+    return locked([](const Engine& e) { return e.directory().size(); });
+  }
+  [[nodiscard]] std::uint64_t hedges_fired() const { return locked(&Engine::hedges_fired); }
+  [[nodiscard]] std::uint64_t cancels_sent() const { return locked(&Engine::cancels_sent); }
   /// Gateway-delay samples whose raw t_d was negative and got floored.
-  [[nodiscard]] std::uint64_t td_clamped() const {
-    return td_clamped_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t td_clamped() const { return locked(&Engine::td_clamped); }
 
  private:
-  struct RequestState;
+  /// One blocked invoke(), filled in by the engine's actions.
+  struct Waiter;
+  /// What a pass under mutex_ leaves for after the unlock: the sends, and
+  /// the callers to wake (woken unlocked, so they do not wake only to
+  /// block on the mutex).
+  struct Outbox {
+    core::Actions sends;
+    std::vector<std::shared_ptr<Waiter>> wake;
+  };
   /// Host-eviction relay shared with the transport's subscriber list:
   /// the transport cannot unsubscribe, so the callback goes through this
   /// block and the destructor severs `client` under its mutex.
@@ -156,56 +155,46 @@ class ThreadedClient {
     std::mutex mutex;
     ThreadedClient* client = nullptr;
   };
+  using Engine = core::RequestEngine;
+  using TimerKey = std::pair<TimePoint, std::uint64_t>;
 
+  /// Read the engine under mutex_; `read` returns by value.
+  template <typename Read>
+  std::invoke_result_t<Read, const Engine&> locked(Read read) const {
+    std::lock_guard lock(mutex_);
+    return std::invoke(read, engine_);
+  }
   void on_receive(EndpointId from, const net::Payload& message);
-  /// Harvest a piggybacked sample into the repository. Caller holds mutex_.
-  void record_perf(ReplicaId replica, const proto::PerfData& perf, const std::string& method);
   void evict_host(HostId host);
+  /// Feed one event to the engine (under mutex_) and run every timer now
+  /// due; the sends it produced leave after the lock is released.
+  template <typename Event>
+  void drive(Event&& event);
+  /// Carry out actions under mutex_, leaving sends and wake-ups in `out`.
+  void apply(core::Actions& actions, Outbox& out);
+  /// Fire every timer due by now. Caller holds mutex_.
+  void run_due_timers(Outbox& out);
+  /// Transmit the sends and wake the callers. Caller must NOT hold mutex_.
+  void flush(Outbox& out);
 
-  core::QosSpec qos_;
-  Rng rng_;
   ThreadedClientConfig config_;
-  /// Shared with selector_'s model; guarded by mutex_ like the repository
-  /// (selection only ever runs under the lock).
-  std::shared_ptr<core::ModelCache> model_cache_;
-  core::ReplicaSelector selector_;
-
-  mutable std::mutex mutex_;  // guards repository_, tracker_, overhead_, rng_
-  core::InfoRepository repository_;
-  core::TimingFailureTracker tracker_;
-  core::OverheadEstimator overhead_;
-  std::uint64_t next_request_ = 1;
-
-  /// peer_replicas_ and outstanding_ are guarded by mutex_; the endpoint
-  /// is created in the constructor and destroyed by shutdown().
   net::Transport* transport_ = nullptr;
+
+  mutable std::mutex mutex_;  // guards everything below up to the endpoint
+  core::RequestEngine engine_;
+  core::Actions scratch_;
+  /// Timers due at once; timers a waiting caller sleeps for; and the
+  /// ones only reclaiming state (kGc), which run at the next event
+  /// instead of waking anyone.
+  std::deque<core::Timer> immediate_;
+  std::map<TimerKey, core::Timer> wake_timers_;
+  std::deque<core::Timer> gc_timers_;
+  std::unordered_map<RequestId, std::shared_ptr<Waiter>> waiters_;
+
+  /// Created in the constructor and destroyed by shutdown().
   EndpointId endpoint_{};
   std::atomic<bool> endpoint_destroyed_{false};
-  std::unordered_map<ReplicaId, EndpointId> peer_replicas_;
-  std::unordered_map<RequestId, std::shared_ptr<RequestState>> outstanding_;
   std::shared_ptr<HostEvictRelay> evict_relay_;
-
-  /// Alert edge state (guarded by mutex_): the last reported
-  /// QoS-violation level, for violation/recovery edge detection.
-  bool violation_reported_ = false;
-
-  std::atomic<std::uint64_t> hedges_fired_{0};
-  std::atomic<std::uint64_t> cancels_sent_{0};
-  std::atomic<std::uint64_t> td_clamped_{0};
-
-  /// Null unless telemetry is attached; safe to update without mutex_
-  /// (counters and histograms are internally atomic).
-  obs::Telemetry* obs_ = nullptr;
-  /// Non-null only when telemetry is attached and spans are enabled.
-  obs::Telemetry* span_sink_ = nullptr;
-  obs::Counter* requests_counter_ = nullptr;
-  obs::Counter* answered_counter_ = nullptr;
-  obs::Counter* timely_counter_ = nullptr;
-  obs::Counter* timing_failures_counter_ = nullptr;
-  obs::Counter* cold_starts_counter_ = nullptr;
-  obs::Histogram* response_time_histogram_ = nullptr;
-  obs::Histogram* selection_overhead_histogram_ = nullptr;
-  obs::Counter* td_clamped_counter_ = nullptr;
 };
 
 }  // namespace aqua::runtime

@@ -145,6 +145,51 @@ TEST_F(CodedStallTest, KMinusOneChunksThenCrashFallsBackToRedispatch) {
   ASSERT_TRUE(record.response_time.has_value());
 }
 
+TEST_F(CodedStallTest, ChunkSentBeforeARedispatchIsTimedFromItsOwnSend) {
+  // k=3 over four replicas. Replica 1 lands its chunk, replicas 3 and 4
+  // crash, and replica 2 is still serving its (slow) chunk: 1 distinct +
+  // 1 awaited < 3, so the view change redispatches fresh chunks at ~600
+  // ms. Replica 2's ORIGINAL chunk answers after that; its t_d must be
+  // timed from its own send at t0, not from the redispatch's t1 (which
+  // would make it hugely negative and clamp it to zero).
+  auto slow = std::make_shared<stats::LoadModulation>();
+  auto stall = std::make_shared<stats::LoadModulation>();
+  add_replica(1, stats::make_constant(msec(10)));
+  add_replica(2, stats::make_modulated_sampler(stats::make_constant(msec(30)), slow));
+  add_replica(3, stats::make_modulated_sampler(stats::make_constant(msec(30)), stall));
+  add_replica(4, stats::make_modulated_sampler(stats::make_constant(msec(30)), stall));
+
+  gateway::HandlerConfig cfg;
+  cfg.dispatch.completion = core::CompletionSpec::k_of_n(3);
+  gateway::TimingFaultHandler handler{sim_, lan_, group_, ClientId{1}, HostId{1},
+                                      core::QosSpec{sec(5), 0.9}, Rng{9}, cfg,
+                                      core::make_all_replicas_policy()};
+  sim_.run_for(msec(50));  // discovery
+  for (int i = 0; i < 3; ++i) {
+    handler.invoke(i, [](const gateway::ReplyInfo&) {});
+    sim_.run_for(sec(1));
+  }
+
+  slow->set_extra(msec(2400));  // a chunk carries a third: ~810 ms of service
+  stall->set_extra(sec(60));
+  bool answered = false;
+  handler.invoke(42, [&](const gateway::ReplyInfo&) { answered = true; });
+  sim_.run_for(msec(100));
+  ASSERT_EQ(handler.history().back().chunks_received, 1u);
+  replicas_[2]->crash_host();
+  replicas_[3]->crash_host();
+  // Failure detection, redispatch, then replica 2's first chunk at ~810
+  // ms; its second (queued behind the first) is still in service.
+  sim_.run_for(msec(1100));
+
+  ASSERT_TRUE(answered);
+  EXPECT_TRUE(handler.history().back().redispatched);
+  const Duration td = handler.repository().observe(ReplicaId{2}).gateway_delay;
+  EXPECT_GT(td, Duration::zero());
+  EXPECT_LT(td, msec(10));
+  EXPECT_EQ(handler.td_clamped(), 0u);
+}
+
 TEST(CodedDispatchThreadedTest, InProcessCodedWorkloadCompletes) {
   runtime::ThreadedSystemConfig cfg;
   cfg.client.dispatch.completion = core::CompletionSpec::k_of_n(2);

@@ -116,6 +116,37 @@ TEST_F(DispatchTest, HedgeTimerFiresWhenPrimaryStalls) {
   EXPECT_NE(first, ReplicaId{1});
 }
 
+TEST_F(DispatchTest, HedgeCopyGatewayDelayExcludesTheHedgeWait) {
+  // As above: the primary stalls, the hedge fires at >= 20 ms (5% of the
+  // 400 ms deadline) and a backup answers. Each backup's t_d is timed
+  // from its own copy's send, so it holds the LAN round trip (a few ms on
+  // the quiet LAN) and none of the hedge wait.
+  auto stall = std::make_shared<stats::LoadModulation>();
+  add_replica(1, stats::make_modulated_sampler(stats::make_constant(msec(10)), stall));
+  add_replica(2, msec(30));
+  add_replica(3, msec(30));
+  HandlerConfig cfg;
+  cfg.dispatch.mode = core::DispatchMode::kHedged;
+  TimingFaultHandler handler{sim_, lan_, group_, ClientId{1}, HostId{1},
+                             core::QosSpec{msec(400), 0.9}, Rng{9}, cfg};
+  warm_up(handler, 5);
+
+  stall->set_extra(msec(300));
+  ReplicaId first{};
+  handler.invoke(42, [&](const ReplyInfo& info) { first = info.replica; });
+  sim_.run_for(msec(200));  // the backups answered; the primary has not
+
+  ASSERT_TRUE(handler.history().back().hedge_fired);
+  ASSERT_NE(first, ReplicaId{}) << "no backup answered";
+  ASSERT_NE(first, ReplicaId{1});
+  for (ReplicaId backup : {ReplicaId{2}, ReplicaId{3}}) {
+    const Duration td = handler.repository().observe(backup).gateway_delay;
+    EXPECT_GT(td, Duration::zero()) << "replica " << backup.value();
+    EXPECT_LT(td, msec(10)) << "replica " << backup.value();
+  }
+  EXPECT_EQ(handler.td_clamped(), 0u);
+}
+
 TEST_F(DispatchTest, CrashedPrimaryFiresHedgeImmediately) {
   auto stall = std::make_shared<stats::LoadModulation>();
   add_replica(1, stats::make_modulated_sampler(stats::make_constant(msec(10)), stall));

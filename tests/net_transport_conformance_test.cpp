@@ -286,6 +286,10 @@ TEST_F(UdpConformance, DestroyedEndpointIsACountedDrop) {
 }
 
 TEST_F(UdpConformance, SilentPeerIsReportedDeadAfterRetransmitBudget) {
+  // Declared before the transport, so its retransmit thread can never
+  // call the subscriber below after they are gone.
+  std::mutex mutex;
+  std::vector<std::pair<HostId, bool>> transitions;
   UdpTransport udp{fast_udp()};
   const EndpointId a = udp.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
 
@@ -298,8 +302,6 @@ TEST_F(UdpConformance, SilentPeerIsReportedDeadAfterRetransmitBudget) {
   const HostId peer_host = udp.endpoint_host(peer);
   EXPECT_TRUE(udp.host_alive(peer_host));
 
-  std::mutex mutex;
-  std::vector<std::pair<HostId, bool>> transitions;
   udp.subscribe_host_state([&](HostId host, bool alive) {
     std::lock_guard lock(mutex);
     transitions.emplace_back(host, alive);
@@ -309,8 +311,13 @@ TEST_F(UdpConformance, SilentPeerIsReportedDeadAfterRetransmitBudget) {
   ASSERT_TRUE(wait_for([&] { return !udp.host_alive(peer_host); }));
   EXPECT_GE(udp.messages_dropped(), 1u);
   EXPECT_GE(udp.messages_retransmitted(), 1u);
+  // Subscribers hear of the flip after the transport releases its lock,
+  // so the transition may land a moment after host_alive reads false.
+  ASSERT_TRUE(wait_for([&] {
+    std::lock_guard lock(mutex);
+    return !transitions.empty();
+  }));
   std::lock_guard lock(mutex);
-  ASSERT_FALSE(transitions.empty());
   EXPECT_EQ(transitions.back(), (std::pair<HostId, bool>{peer_host, false}));
 }
 

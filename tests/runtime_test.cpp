@@ -397,7 +397,29 @@ TEST_F(ThreadedClientTest, HedgeCopyGatewayDelayExcludesTheHedgeWait) {
   EXPECT_LE(hedged.gateway_delay + msec(5),
             outcome.response_time - hedged.queuing_delay - hedged.service_time);
   EXPECT_EQ(client.td_clamped(), 0u);
-  EXPECT_EQ(telemetry.metrics().counter("threaded_client.td_clamped").value(), 0u);
+  EXPECT_EQ(telemetry.metrics().counter("threaded.td_clamped").value(), 0u);
+}
+
+TEST_F(ThreadedClientTest, EveryReplyOfAMulticastUpdatesItsReplicasGatewayDelay) {
+  // Two equal replicas under the default crash tolerance: K is both of
+  // them on every request, so each request returns two replies, and each
+  // reply is one gateway-delay sample for the replica that sent it.
+  obs::Telemetry telemetry;
+  ThreadedSystemConfig cfg = fast_config();
+  cfg.client.telemetry = &telemetry;
+  ThreadedSystem system{cfg};
+  system.add_replica(stats::make_constant(msec(1)));
+  system.add_replica(stats::make_constant(msec(1)));
+  ThreadedClient& client = system.add_client(core::QosSpec{msec(100), 0.5});
+  constexpr int kRequests = 5;
+  for (int i = 0; i < kRequests; ++i) ASSERT_EQ(client.invoke(i).redundancy, 2u);
+  auto& samples = telemetry.metrics().counter("repository.gateway_delays");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (samples.value() < 2u * kRequests && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(samples.value(), 2u * kRequests);
+  EXPECT_EQ(client.td_clamped(), 0u);
 }
 
 TEST_F(ThreadedClientTest, QosRenegotiationResetsTracker) {

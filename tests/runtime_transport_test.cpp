@@ -11,6 +11,8 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -136,6 +138,72 @@ TEST(RuntimeTransportTest, SilentReplicaIsEvictedFromTheDirectory) {
   // The surviving replica still answers.
   const auto outcome = client.invoke(123);
   EXPECT_TRUE(outcome.answered);
+  client.shutdown();
+}
+
+TEST(RuntimeTransportTest, HostEvictionOfAllOfKRedispatchesWellBeforeGiveUp) {
+  // Replica 1 lives on a transport of its own, a process that will die;
+  // replica 2 shares the client's. With crash tolerance 0 and both
+  // replicas meeting the deadline, K is replica 1 alone (the id tiebreak).
+  net::UdpTransport udp{fast_udp()};
+  net::UdpTransport doomed_udp{fast_udp()};
+  auto doomed = std::make_unique<ThreadedReplica>(ReplicaId{1}, stats::make_constant(msec(1)),
+                                                  Rng{1}, doomed_udp, HostId{1});
+  ThreadedReplica survivor{ReplicaId{2}, stats::make_constant(msec(2)), Rng{2}, udp, HostId{2}};
+
+  ThreadedClientConfig client_cfg;
+  client_cfg.id = ClientId{61};
+  client_cfg.transport = &udp;
+  client_cfg.host = HostId{2'200};
+  client_cfg.selection.crash_tolerance = 0;
+  const core::QosSpec qos{msec(500), 0.5};
+  ThreadedClient client{qos, Rng{43}, client_cfg};
+  client.add_peer_replica(ReplicaId{1},
+                          udp.register_peer("127.0.0.1", doomed_udp.endpoint_port(doomed->endpoint())));
+  client.add_peer_replica(ReplicaId{2}, survivor.endpoint());
+  ASSERT_TRUE(client.invoke(1).answered);  // cold start: both windows fill
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // the second reply lands
+  const auto warm = client.invoke(2);
+  ASSERT_TRUE(warm.answered);
+  ASSERT_EQ(warm.redundancy, 1u);
+  ASSERT_EQ(warm.first_replica, ReplicaId{1});
+
+  // Replica 1's process dies: its copy is never acked, the retransmit
+  // budget reports the host dead, and the eviction takes all of K. The
+  // request must be redispatched to replica 2 at once, not wait out the
+  // give-up bound (4 x the deadline).
+  doomed.reset();
+  const auto outcome = client.invoke(3);
+  EXPECT_TRUE(outcome.answered);
+  EXPECT_EQ(outcome.first_replica, ReplicaId{2});
+  EXPECT_LT(outcome.response_time, qos.deadline);
+  EXPECT_EQ(client.known_replicas(), 1u);
+  client.shutdown();
+  survivor.shutdown();
+}
+
+TEST(RuntimeTransportTest, InvokeBeforeDiscoveryParksUntilAnAnnounceArrives) {
+  net::UdpTransport udp{fast_udp()};
+  ThreadedSystemConfig cfg;
+  cfg.transport = &udp;
+  ThreadedSystem system{cfg};
+  system.add_replica(stats::make_constant(msec(1)));
+
+  ThreadedClientConfig client_cfg;
+  client_cfg.id = ClientId{62};
+  client_cfg.transport = &udp;
+  client_cfg.host = HostId{2'300};
+  ThreadedClient client{core::QosSpec{msec(500), 0.5}, Rng{44}, client_cfg};
+  ASSERT_EQ(client.known_replicas(), 0u);
+  // No replica is known yet: the request parks instead of failing.
+  auto pending = std::async(std::launch::async, [&] { return client.invoke(5); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  client.subscribe_to(system.replicas()[0]->endpoint());
+
+  const auto outcome = pending.get();
+  EXPECT_TRUE(outcome.answered);
+  EXPECT_EQ(outcome.result, 5);
+  EXPECT_TRUE(outcome.cold_start);
   client.shutdown();
 }
 

@@ -235,9 +235,9 @@ ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L fault
 step "Telemetry tier: ctest -L obs (TSan)"
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L obs
 
-step "Transport conformance + UDP runtime (TSan)"
+step "Transport conformance + UDP runtime + threaded client (TSan)"
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-  -R 'SimConformance|UdpConformance|LocalConformance|RuntimeTransportTest|UdpRegressionTest'
+  -R 'SimConformance|UdpConformance|LocalConformance|RuntimeTransportTest|UdpRegressionTest|ThreadedClientTest'
 
 step "Configure + build: AddressSanitizer + UndefinedBehaviorSanitizer (build-asan/)"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DENABLE_ASAN=ON -DENABLE_UBSAN=ON \
