@@ -5,9 +5,11 @@
 // (stack + wire + jitter), the number every seeded experiment runs on.
 // The udp row is wall-clock time through real kernel sockets on
 // loopback, acks and dedup included — what a request leg actually costs
-// when gateway and replica are separate processes. CI keeps both in
-// BENCH_transport.json so a regression in either substrate shows up in
-// the same diff.
+// when gateway and replica are separate processes — with the datagrams
+// each round trip put on the wire (DATA, standalone ACK and retransmit
+// frames): 2 when every ack rides on the next DATA frame. CI keeps all
+// of them in BENCH_transport.json so a regression in either substrate
+// shows up in the same diff.
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -52,8 +54,14 @@ double sim_rtt_us() {
   return static_cast<double>(count_us(total)) / kPings;
 }
 
-/// Mean wall-clock RTT through kernel UDP on loopback (microseconds).
-double udp_rtt_us(std::uint64_t& retransmits) {
+struct UdpRoundTrips {
+  double rtt_us = 0.0;  // mean wall-clock round trip
+  double datagrams_per_roundtrip = 0.0;
+  std::uint64_t retransmits = 0;
+};
+
+/// Sequential ping-pongs through kernel UDP on loopback.
+UdpRoundTrips udp_round_trips() {
   net::UdpTransport udp;
 
   EndpointId echo{};
@@ -77,10 +85,14 @@ double udp_rtt_us(std::uint64_t& retransmits) {
     cv.wait(lock, [&] { return received > i; });
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  retransmits = udp.messages_retransmitted();
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count()) /
-         kPings;
+  UdpRoundTrips out;
+  out.rtt_us = static_cast<double>(
+                   std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count()) /
+               kPings;
+  out.retransmits = udp.messages_retransmitted();
+  out.datagrams_per_roundtrip =
+      static_cast<double>(udp.messages_sent() + udp.acks_sent() + out.retransmits) / kPings;
+  return out;
 }
 
 }  // namespace
@@ -90,17 +102,21 @@ int main() {
   std::printf("%d sequential ping-pongs per backend\n\n", kPings);
 
   const double sim_us = sim_rtt_us();
-  std::uint64_t retransmits = 0;
-  const double udp_us = udp_rtt_us(retransmits);
+  const UdpRoundTrips udp = udp_round_trips();
 
   std::printf("%-24s %12.1f us  (virtual time, modelled delay)\n", "sim Lan RTT", sim_us);
-  std::printf("%-24s %12.1f us  (wall clock, loopback sockets)\n", "udp loopback RTT", udp_us);
-  std::printf("%-24s %12llu\n", "udp retransmits", static_cast<unsigned long long>(retransmits));
+  std::printf("%-24s %12.1f us  (wall clock, loopback sockets)\n", "udp loopback RTT",
+              udp.rtt_us);
+  std::printf("%-24s %12.2f     (DATA + standalone ACK + retransmit)\n",
+              "udp datagrams/roundtrip", udp.datagrams_per_roundtrip);
+  std::printf("%-24s %12llu\n", "udp retransmits",
+              static_cast<unsigned long long>(udp.retransmits));
 
   aqua::bench::write_bench_json(
       "BENCH_transport.json", "transport_roundtrip",
       {{"sim_rtt_us", sim_us, "us"},
-       {"udp_rtt_us", udp_us, "us"},
-       {"udp_retransmits", static_cast<double>(retransmits), "count"}});
+       {"udp_rtt_us", udp.rtt_us, "us"},
+       {"udp_datagrams_per_roundtrip", udp.datagrams_per_roundtrip, "count"},
+       {"udp_retransmits", static_cast<double>(udp.retransmits), "count"}});
   return 0;
 }

@@ -1,42 +1,57 @@
 // Real-socket transport backend: kernel UDP on loopback or a LAN
 // interface.
 //
-// Each local endpoint binds its own UDP socket and runs two threads: a
-// receiver (recvfrom loop, parses frames, acks, dedups) and a dispatcher
-// draining a bounded inbox into the endpoint's ReceiveFn — so a slow
-// consumer backs up its own queue (overflow is a counted drop), never the
-// socket of another endpoint. Remote endpoints — other processes, or
-// other endpoints of this process reached through the kernel — are
-// handles for a (address, port) pair, registered explicitly or learned
-// from the source address of an incoming datagram.
+// Each local endpoint binds its own UDP socket and runs one receiver
+// thread: it reads one datagram at a time, takes in the frame header
+// (acks, dedup), then calls the endpoint's ReceiveFn inline for a fresh
+// payload. The socket's kernel buffer is the endpoint's queue, so a slow
+// consumer backs up its own socket (the kernel's overflow count is read
+// back as a counted drop), never the socket of another endpoint. Remote
+// endpoints — other processes, or other endpoints of this process
+// reached through the kernel — are handles for a (address, port) pair,
+// registered explicitly or learned from the source address of an
+// incoming datagram.
 //
 // Datagrams are framed as
 //
-//   [u32 magic "AQDF"] [u8 version] [u8 DATA|ACK] [u64 seq]  (+ payload)
+//   [u32 magic "AQDF"] [u8 version] [u8 DATA|ACK] [u64 seq]
+//   [u8 n] [n x u64 acked seq]  (+ payload, DATA only)
 //
 // with the payload serialized by net/wire.h (body + SpanContext). UDP
 // drops, duplicates, and reorders; the transport restores at-most-once
-// delivery with per-datagram acks: every DATA is acked by the receiver,
-// retransmitted with exponential backoff until acked, and deduplicated by
-// (source, seq) on arrival. A destination that exhausts the retransmit
+// delivery: every DATA is acked, retransmitted with exponential backoff
+// until acked, and deduplicated by (source, seq) on arrival. Acks are
+// delayed and piggybacked: the receiver owes the ack to the (endpoint,
+// peer) pair, and the next DATA frame that pair sends carries it in its
+// header (a replica's Reply acks the Request). An ack no DATA frame has
+// carried within min(retransmit_tick, retransmit_initial / 4) goes out
+// alone in an ACK frame. A destination that exhausts the retransmit
 // budget is reported dead through the same host-liveness signal the
 // dependability layer consumes on the simulated Lan; any later ack or
-// datagram from it reports it alive again.
+// datagram from it reports it alive again. The give-up waits while the
+// ack may be held up inside this process (the sender's socket or a local
+// destination's holds unread datagrams, or that destination still owes
+// the ack): a callback that blocks its receiver must not make a live
+// peer look dead. A peer in another process cannot see that, so there a
+// callback that blocks longer than the peer's retransmit budget gets
+// this host presumed dead (its DATA waits unacked in the socket).
+// destroy_endpoint sends the acks its endpoint still owes.
 //
 // Attach telemetry BEFORE traffic flows; the counters mirror the shared
 // lan.* metric names so dashboards work unchanged across backends.
 #pragma once
 
 #include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -50,7 +65,6 @@
 
 namespace aqua::obs {
 class Counter;
-class Histogram;
 }  // namespace aqua::obs
 
 namespace aqua::net {
@@ -58,8 +72,6 @@ namespace aqua::net {
 struct UdpTransportConfig {
   /// Interface address local endpoints bind (and are reachable at).
   std::string bind_address = "127.0.0.1";
-  /// Per-endpoint inbox capacity; overflow is a counted drop.
-  std::size_t receive_queue_capacity = 1024;
   /// Ack + retransmit for lost datagrams. Off = fire-and-forget.
   bool reliable = true;
   /// First retransmit after this long without an ack.
@@ -69,7 +81,9 @@ struct UdpTransportConfig {
   /// Total send attempts (first send included) before giving up and
   /// reporting the destination host dead.
   int max_attempts = 5;
-  /// Retransmit-scan granularity.
+  /// Longest retransmit-scan period. The scan runs every
+  /// min(retransmit_tick, retransmit_initial / 4), and an ack no DATA
+  /// frame has carried goes out alone at the first scan after that long.
   Duration retransmit_tick = msec(5);
   /// Per-source dedup state: keep at most `dedup_capacity` seen-seq
   /// entries; once exceeded, prune everything below max_seen -
@@ -119,13 +133,19 @@ class UdpTransport final : public Transport {
   [[nodiscard]] std::uint64_t messages_dropped() const override {
     return dropped_.load(std::memory_order_relaxed);
   }
-  /// Subset of messages_dropped() lost to inbox overflow.
+  /// Subset of messages_dropped(): datagrams the kernel dropped because
+  /// a local endpoint's socket buffer was full (SO_RXQ_OVFL). The count
+  /// arrives with the next datagram the socket queues.
   [[nodiscard]] std::uint64_t messages_queue_dropped() const {
     return queue_dropped_.load(std::memory_order_relaxed);
   }
   /// DATA frames re-sent by the reliability layer.
   [[nodiscard]] std::uint64_t messages_retransmitted() const {
     return retransmitted_.load(std::memory_order_relaxed);
+  }
+  /// Standalone ACK frames: acks no DATA frame carried in time.
+  [[nodiscard]] std::uint64_t acks_sent() const {
+    return acks_sent_.load(std::memory_order_relaxed);
   }
 
   /// Bound port of a local endpoint.
@@ -149,7 +169,6 @@ class UdpTransport final : public Transport {
     sockaddr_in addr{};
     std::shared_ptr<const std::vector<std::uint8_t>> frame;
     int attempts = 1;
-    std::chrono::steady_clock::time_point sent_at{};
     std::chrono::steady_clock::time_point next_resend{};
     Duration wait{};
   };
@@ -165,13 +184,30 @@ class UdpTransport final : public Transport {
     std::uint64_t floor = 0;
   };
   using AddrKey = std::pair<std::uint32_t, std::uint16_t>;  // network order
+  /// A frame built under mutex_ and sent once it is released.
+  struct Outgoing;
 
   void receive_loop(LocalEndpoint* endpoint);
-  void dispatch_loop(LocalEndpoint* endpoint);
-  void retransmit_loop();
-  void handle_data(LocalEndpoint* endpoint, const AddrKey& source, std::uint64_t seq,
-                   std::span<const std::uint8_t> payload_bytes);
-  void handle_ack(std::uint64_t seq, const AddrKey& source);
+  /// Retransmits unacked DATA, reports give-ups, and sends the acks no
+  /// DATA frame carried within ack_delay_.
+  void timer_loop();
+  /// Takes in the acks a received frame carries, dedups and owes the ack
+  /// for a DATA frame, then delivers its payload if fresh.
+  void handle_frame(LocalEndpoint* endpoint, const AddrKey& source,
+                    std::span<const std::uint8_t> bytes);
+  /// Adds the socket's newly reported kernel drops to the queue drops.
+  void count_kernel_drops(LocalEndpoint* endpoint, msghdr& msg);
+  /// Moves the acks `endpoint` has owed a peer since `owed_since` or
+  /// earlier into ACK frames. Caller holds mutex_.
+  static void take_ack_frames_locked(const std::shared_ptr<LocalEndpoint>& endpoint,
+                                     std::chrono::steady_clock::time_point owed_since,
+                                     std::vector<Outgoing>& out);
+  void send_acks(const std::vector<Outgoing>& acks);
+  /// Whether the ack for a pending frame of `from` may still be on its
+  /// way inside this process, held up by a callback that blocks a local
+  /// receiver; its give-up waits until it is not. Caller holds mutex_.
+  [[nodiscard]] bool acks_may_be_behind_locked(const Pending& pending,
+                                               const LocalEndpoint& from) const;
   void send_datagram(EndpointId from, EndpointId to,
                      const std::shared_ptr<const std::vector<std::uint8_t>>& encoded);
   /// Map a source address to an endpoint handle, learning a new remote
@@ -183,10 +219,13 @@ class UdpTransport final : public Transport {
   void set_host_alive_locked(HostId host, bool alive,
                              std::vector<std::pair<HostId, bool>>& notifications);
   void notify_host_state(const std::vector<std::pair<HostId, bool>>& notifications);
-  void count_drop();
+  void count_drop(std::uint64_t n = 1);
   std::shared_ptr<LocalEndpoint> detach_local(EndpointId endpoint);
 
   UdpTransportConfig config_;
+  /// How long an owed ack may wait for a DATA frame to carry it, and
+  /// the timer loop's period.
+  Duration ack_delay_;
 
   mutable std::mutex mutex_;
   IdGenerator<EndpointId> endpoint_ids_;
@@ -200,6 +239,9 @@ class UdpTransport final : public Transport {
   std::map<std::uint64_t, Pending> pending_;
   std::unordered_map<HostId, bool> host_alive_;
   std::vector<HostStateFn> host_state_subscribers_;
+  /// Receiver threads of endpoints destroyed from their own callback:
+  /// they cannot join themselves, so the destructor joins them.
+  std::vector<std::thread> self_destroyed_;
 
   std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<std::uint64_t> sent_{0};
@@ -207,6 +249,7 @@ class UdpTransport final : public Transport {
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> queue_dropped_{0};
   std::atomic<std::uint64_t> retransmitted_{0};
+  std::atomic<std::uint64_t> acks_sent_{0};
 
   /// Null unless telemetry is attached (one-branch discipline). Set
   /// before traffic flows; the counters themselves are thread-safe.
@@ -214,16 +257,15 @@ class UdpTransport final : public Transport {
   obs::Counter* delivered_counter_ = nullptr;
   obs::Counter* dropped_counter_ = nullptr;
   obs::Counter* retransmit_counter_ = nullptr;
-  obs::Histogram* ack_rtt_histogram_ = nullptr;
+  obs::Counter* acks_sent_counter_ = nullptr;
 
   std::atomic<bool> stopping_{false};
-  /// Wakes the retransmit loop out of its tick wait at shutdown, so
-  /// destruction never stalls for a full tick. Separate from mutex_:
-  /// the loop scans pending_ under mutex_, and sharing it for the wait
-  /// would let a long scan block the destructor's notify.
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;
-  std::thread retransmit_thread_;
+  /// Wakes the timer loop out of its wait at shutdown. Separate from
+  /// mutex_: the loop scans pending_ under mutex_, and sharing it for the
+  /// wait would let a long scan block the notify.
+  std::mutex timer_mutex_;
+  std::condition_variable timer_cv_;
+  std::thread timer_thread_;
 };
 
 }  // namespace aqua::net

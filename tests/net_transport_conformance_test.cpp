@@ -6,13 +6,14 @@
 // FIFO-per-pair ordering (sim only — UDP makes no ordering promise),
 // SpanContext surviving the UDP wire format (the sim hands payloads
 // across by pointer, so only the socket backend actually marshals it),
-// and LocalTransport's destroy_endpoint waiting out a delivery in
-// progress.
+// and, on both threaded backends, destroy_endpoint waiting out a
+// delivery in progress but not a callback destroying its own endpoint.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -58,7 +59,7 @@ bool wait_for(const std::function<bool()>& pred) {
   return pred();
 }
 
-/// Thread-safe inbox shared by the UDP dispatcher thread and the test.
+/// Thread-safe inbox shared by a delivery thread and the test.
 struct Inbox {
   std::mutex mutex;
   std::vector<std::pair<EndpointId, std::string>> messages;
@@ -136,6 +137,61 @@ void check_destroyed_endpoint_drops(Transport& transport,
   flush(0);
   EXPECT_GE(transport.messages_dropped(), 1u);
   EXPECT_EQ(inbox.size(), 0u);
+}
+
+// ThreadedClient::shutdown relies on this: once destroy_endpoint returns,
+// no callback of the endpoint is running, even one that was already in
+// flight when it was called.
+void check_destroy_waits_for_blocked_callback(Transport& transport) {
+  const EndpointId a = transport.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  std::mutex gate;
+  gate.lock();
+  std::atomic<bool> entered{false};
+  std::atomic<bool> finished{false};
+  const EndpointId b = transport.create_endpoint(HostId{2}, [&](EndpointId, const Payload&) {
+    entered.store(true);
+    gate.lock();  // parked until the test releases it
+    gate.unlock();
+    finished.store(true);
+  });
+  transport.unicast(a, b, Payload::make(std::string{"stuck"}, 64));
+  ASSERT_TRUE(wait_for([&] { return entered.load(); }));
+
+  std::atomic<bool> destroyed{false};
+  std::thread destroyer([&] {
+    transport.destroy_endpoint(b);
+    // Read before publishing: the callback must be done by now.
+    EXPECT_TRUE(finished.load());
+    destroyed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(destroyed.load());  // still waiting on the parked callback
+  EXPECT_FALSE(transport.endpoint_exists(b));
+  gate.unlock();
+  destroyer.join();
+  EXPECT_TRUE(destroyed.load());
+  // Let a callback that destroy_endpoint failed to wait for finish
+  // before the locals it touches go away.
+  EXPECT_TRUE(wait_for([&] { return finished.load(); }));
+}
+
+void check_callback_destroying_its_own_endpoint(Transport& transport) {
+  const EndpointId a = transport.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  std::atomic<bool> returned{false};
+  EndpointId self{};
+  self = transport.create_endpoint(HostId{2}, [&](EndpointId, const Payload&) {
+    transport.destroy_endpoint(self);
+    returned.store(true);
+  });
+  transport.unicast(a, self, Payload::make(std::string{"bye"}, 64));
+  ASSERT_TRUE(wait_for([&] { return returned.load(); }));
+  EXPECT_FALSE(transport.endpoint_exists(self));
+
+  // The transport still serves other endpoints.
+  Inbox inbox;
+  const EndpointId c = transport.create_endpoint(HostId{3}, inbox.sink());
+  transport.unicast(a, c, Payload::make(std::string{"still here"}, 64));
+  ASSERT_TRUE(wait_for([&] { return inbox.size() == 1; }));
 }
 
 // ---------------------------------------------------------------------------
@@ -390,8 +446,8 @@ TEST_F(UdpConformance, ChunkedRequestReplySurvivesTheWire) {
     return seen_requests.size() >= 3;
   }));
 
-  // Echo each chunk back from the main thread (replica sinks never send
-  // from inside the dispatcher callback).
+  // Echo each chunk back from the main thread (the replica sink does
+  // not send from inside its delivery callback).
   std::vector<proto::Request> requests;
   {
     std::lock_guard lock(mutex);
@@ -423,15 +479,21 @@ TEST_F(UdpConformance, ChunkedRequestReplySurvivesTheWire) {
   EXPECT_EQ(chunks, (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
+/// The kernel's default socket receive buffer, in bytes.
+int default_receive_buffer() {
+  std::ifstream in{"/proc/sys/net/core/rmem_default"};
+  int bytes = 0;
+  return (in >> bytes) && bytes > 0 ? bytes : 212992;
+}
+
 TEST_F(UdpConformance, InboxOverflowIsACountedQueueDrop) {
   UdpTransportConfig cfg = fast_udp();
   cfg.reliable = false;  // no retransmits: each overflow is a clean drop
-  cfg.receive_queue_capacity = 2;
   UdpTransport udp{cfg};
   const EndpointId a = udp.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
 
-  // Block the dispatcher inside the first callback so the inbox (cap 2)
-  // must overflow while we keep sending.
+  // Park the receiver inside the first callback: its socket buffer is
+  // the endpoint's queue, and it must overflow while we keep sending.
   std::mutex gate;
   gate.lock();
   std::atomic<int> received{0};
@@ -441,20 +503,145 @@ TEST_F(UdpConformance, InboxOverflowIsACountedQueueDrop) {
       gate.unlock();
     }
   });
-  constexpr int kSends = 64;
-  for (int i = 0; i < kSends; ++i) {
+  udp.unicast(a, b, Payload::make(std::string{"first"}, 64));
+  ASSERT_TRUE(wait_for([&] { return received.load() == 1; }));
+  // Every queued datagram costs the buffer far more than 64 bytes of
+  // kernel memory, so this many must overflow it.
+  const int sends = std::max(2048, default_receive_buffer() / 64);
+  for (int i = 0; i < sends; ++i) {
     udp.unicast(a, b, Payload::make(std::to_string(i), 64));
   }
-  // The dispatcher is parked inside message #1, so the bounded inbox
-  // must spill before we let it drain.
-  ASSERT_TRUE(wait_for([&] { return udp.messages_queue_dropped() >= 1; }));
   gate.unlock();
+  // The kernel reports its drop count with the next datagram it queues,
+  // so keep probing until one lands after the backlog has drained.
+  std::uint64_t sent = 1 + static_cast<std::uint64_t>(sends);
   ASSERT_TRUE(wait_for([&] {
-    return udp.messages_delivered() + udp.messages_queue_dropped() >=
-           static_cast<std::uint64_t>(kSends);
+    if (udp.messages_delivered() + udp.messages_queue_dropped() >= sent) return true;
+    udp.unicast(a, b, Payload::make(std::string{"probe"}, 64));
+    ++sent;
+    return false;
   }));
   EXPECT_GE(udp.messages_queue_dropped(), 1u);
+  EXPECT_EQ(udp.messages_delivered() + udp.messages_queue_dropped(), sent);
   EXPECT_EQ(udp.messages_dropped(), udp.messages_queue_dropped());
+}
+
+TEST_F(UdpConformance, AnAckNoDataFrameCarriesGoesOutAloneWithinTheAckDelay) {
+  // b never sends DATA back to a, so its ack for a's frame must go out in
+  // an ACK frame of its own, after min(tick, retransmit_initial / 4) =
+  // 5 ms here: well before the first retransmit, and not a tick later.
+  UdpTransportConfig cfg;
+  cfg.retransmit_initial = msec(20);
+  cfg.retransmit_tick = sec(30);
+  UdpTransport udp{cfg};
+  const EndpointId a = udp.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  Inbox inbox;
+  const EndpointId b = udp.create_endpoint(HostId{2}, inbox.sink());
+  udp.unicast(a, b, Payload::make(std::string{"no reply"}, 64));
+  ASSERT_TRUE(wait_for([&] { return udp.acks_sent() == 1; }));
+  EXPECT_EQ(inbox.size(), 1u);
+  EXPECT_EQ(udp.messages_retransmitted(), 0u);
+}
+
+TEST_F(UdpConformance, ParkedCallbackDoesNotMakeALivePeerLookDead) {
+  // A callback parked far past the retransmit budget (~95 ms here) leaves
+  // its receiver's socket unread. For a's own DATA the ack waits there;
+  // for b's DATA to parked c the frame itself does. Neither is a dead
+  // peer.
+  UdpTransportConfig cfg;
+  cfg.retransmit_initial = msec(20);
+  cfg.retransmit_backoff = 1.5;
+  cfg.max_attempts = 3;
+  // Declared before the transport, so no callback outlives them.
+  std::mutex mutex;
+  std::vector<std::pair<HostId, bool>> transitions;
+  std::mutex gate;
+  gate.lock();
+  std::atomic<int> parked{0};
+  const auto park = [&](EndpointId, const Payload&) {
+    parked.fetch_add(1);
+    gate.lock();
+    gate.unlock();
+  };
+  Inbox inbox;
+  UdpTransport udp{cfg};
+  udp.subscribe_host_state([&](HostId host, bool alive) {
+    std::lock_guard lock(mutex);
+    transitions.emplace_back(host, alive);
+  });
+  const EndpointId a = udp.create_endpoint(HostId{1}, park);
+  const EndpointId b = udp.create_endpoint(HostId{2}, inbox.sink());
+  const EndpointId c = udp.create_endpoint(HostId{3}, park);
+
+  udp.unicast(b, a, Payload::make(std::string{"park a"}, 64));
+  udp.unicast(b, c, Payload::make(std::string{"park c"}, 64));
+  ASSERT_TRUE(wait_for([&] { return parked.load() == 2; }));
+  udp.unicast(a, b, Payload::make(std::string{"from parked a"}, 64));
+  udp.unicast(b, c, Payload::make(std::string{"to parked c"}, 64));
+  ASSERT_TRUE(wait_for([&] { return inbox.size() == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(udp.messages_dropped(), 0u);
+
+  gate.unlock();
+  ASSERT_TRUE(wait_for([&] { return parked.load() == 3; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(udp.messages_dropped(), 0u);
+  std::lock_guard lock(mutex);
+  EXPECT_TRUE(transitions.empty());
+}
+
+TEST_F(UdpConformance, DestroySendsTheAcksItStillOwes) {
+  // Two transports stand for two processes. b's ack delay (500 ms) is far
+  // longer than a's whole retransmit budget (100 ms), so only the acks
+  // destroy_endpoint sends keep a from presuming b's host dead.
+  UdpTransportConfig patient;
+  patient.retransmit_initial = sec(2);
+  patient.retransmit_tick = sec(30);
+  UdpTransportConfig strict;
+  strict.retransmit_initial = msec(100);
+  strict.max_attempts = 1;
+  Inbox inbox;
+  UdpTransport near{strict};
+  UdpTransport far{patient};
+  const EndpointId b = far.create_endpoint(HostId{2}, inbox.sink());
+  const EndpointId a = near.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  const EndpointId b_peer = near.register_peer("127.0.0.1", far.endpoint_port(b));
+
+  near.unicast(a, b_peer, Payload::make(std::string{"last words"}, 64));
+  ASSERT_TRUE(wait_for([&] { return inbox.size() == 1; }));
+  far.destroy_endpoint(b);
+  EXPECT_EQ(far.acks_sent(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  EXPECT_TRUE(near.host_alive(near.endpoint_host(b_peer)));
+  EXPECT_EQ(near.messages_dropped(), 0u);
+}
+
+TEST_F(UdpConformance, DestroyWaitsForACallbackBlockedMidDelivery) {
+  UdpTransport udp{fast_udp()};
+  check_destroy_waits_for_blocked_callback(udp);
+}
+
+TEST_F(UdpConformance, CallbackDestroyingItsOwnEndpointReturns) {
+  UdpTransport udp{fast_udp()};
+  check_callback_destroying_its_own_endpoint(udp);
+}
+
+TEST_F(UdpConformance, DestroyingAnIdleEndpointIsPrompt) {
+  // The receiver blocks in recvmsg with no timeout; destroy must wake it
+  // rather than wait for traffic or a poll interval. The median of a few
+  // endpoints keeps one descheduled thread from failing the run.
+  UdpTransport udp{fast_udp()};
+  std::vector<std::chrono::steady_clock::duration> took;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    const EndpointId idle = udp.create_endpoint(HostId{1 + i}, [](EndpointId, const Payload&) {});
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // parked in recvmsg by now
+    const auto start = std::chrono::steady_clock::now();
+    udp.destroy_endpoint(idle);
+    took.push_back(std::chrono::steady_clock::now() - start);
+    EXPECT_FALSE(udp.endpoint_exists(idle));
+  }
+  std::sort(took.begin(), took.end());
+  EXPECT_LT(took[took.size() / 2], std::chrono::milliseconds(5));
 }
 
 // ---------------------------------------------------------------------------
@@ -601,58 +788,11 @@ TEST_F(LocalConformance, ChunkedRequestReplyRoundTrip) {
 }
 
 TEST_F(LocalConformance, DestroyWaitsForACallbackBlockedMidDelivery) {
-  // ThreadedClient::shutdown relies on this: once destroy_endpoint
-  // returns, no callback of the endpoint is running, even one that was
-  // already in flight when it was called.
-  const EndpointId a = local_.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
-  std::mutex gate;
-  gate.lock();
-  std::atomic<bool> entered{false};
-  std::atomic<bool> finished{false};
-  const EndpointId b = local_.create_endpoint(HostId{2}, [&](EndpointId, const Payload&) {
-    entered.store(true);
-    gate.lock();  // parked until the test releases it
-    gate.unlock();
-    finished.store(true);
-  });
-  local_.unicast(a, b, Payload::make(std::string{"stuck"}, 64));
-  ASSERT_TRUE(wait_for([&] { return entered.load(); }));
-
-  std::atomic<bool> destroyed{false};
-  std::thread destroyer([&] {
-    local_.destroy_endpoint(b);
-    // Read before publishing: the callback must be done by now.
-    EXPECT_TRUE(finished.load());
-    destroyed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_FALSE(destroyed.load());  // still waiting on the parked callback
-  EXPECT_FALSE(local_.endpoint_exists(b));
-  gate.unlock();
-  destroyer.join();
-  EXPECT_TRUE(destroyed.load());
-  // Let a callback that destroy_endpoint failed to wait for finish
-  // before the locals it touches go away.
-  EXPECT_TRUE(wait_for([&] { return finished.load(); }));
+  check_destroy_waits_for_blocked_callback(local_);
 }
 
 TEST_F(LocalConformance, CallbackDestroyingItsOwnEndpointReturns) {
-  const EndpointId a = local_.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
-  std::atomic<bool> returned{false};
-  EndpointId self{};
-  self = local_.create_endpoint(HostId{2}, [&](EndpointId, const Payload&) {
-    local_.destroy_endpoint(self);
-    returned.store(true);
-  });
-  local_.unicast(a, self, Payload::make(std::string{"bye"}, 64));
-  ASSERT_TRUE(wait_for([&] { return returned.load(); }));
-  EXPECT_FALSE(local_.endpoint_exists(self));
-
-  // The delivery thread is still serving other endpoints.
-  Inbox inbox;
-  const EndpointId c = local_.create_endpoint(HostId{3}, inbox.sink());
-  local_.unicast(a, c, Payload::make(std::string{"still here"}, 64));
-  ASSERT_TRUE(wait_for([&] { return inbox.size() == 1; }));
+  check_callback_destroying_its_own_endpoint(local_);
 }
 
 }  // namespace

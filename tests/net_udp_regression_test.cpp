@@ -1,4 +1,4 @@
-// Regression tests for two UdpTransport defects:
+// Regression tests for two UdpTransport defects, and the frame version:
 //
 //  1. Shutdown latency: the retransmit loop used to sleep a full
 //     retransmit_tick between scans, so destroying the transport blocked
@@ -9,6 +9,9 @@
 //     old sequence numbers outright, so a straggler retransmit of an
 //     evicted sequence was re-accepted and delivered twice. Sequences
 //     below the prune floor must be refused without consulting the set.
+//
+//  3. Frame version: a frame of another version (v1 had no ack list) is
+//     refused as a counted drop, never parsed as the current layout.
 #include "net/udp_transport.h"
 
 #include <arpa/inet.h>
@@ -34,21 +37,22 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 // AQDF data-frame header, mirrored from the transport's wire layout:
-// [u32 magic "AQDF"][u8 version][u8 type][u64 seq].
+// [u32 magic "AQDF"][u8 version][u8 type][u64 seq][u8 n][n x u64 acked
+// seq]. Version 1 had no ack list: its header ended after the seq.
 constexpr std::uint32_t kMagic = 0x46445141;
-constexpr std::uint8_t kVersion = 1;
+constexpr std::uint8_t kVersion = 2;
 constexpr std::uint8_t kTypeData = 1;
-constexpr std::size_t kHeaderBytes = 14;
 
-std::vector<std::uint8_t> make_data_frame(std::uint64_t seq) {
+std::vector<std::uint8_t> make_data_frame(std::uint64_t seq, std::uint8_t version = kVersion) {
   std::vector<std::uint8_t> body;
   EXPECT_TRUE(encode_payload(Payload::make(std::string{"ping"}, 16), body));
-  std::vector<std::uint8_t> frame(kHeaderBytes + body.size());
+  const std::size_t header = version == 1 ? 14 : 15;  // v2: an empty ack list
+  std::vector<std::uint8_t> frame(header + body.size());
   for (std::size_t i = 0; i < 4; ++i) frame[i] = static_cast<std::uint8_t>(kMagic >> (8 * i));
-  frame[4] = kVersion;
+  frame[4] = version;
   frame[5] = kTypeData;
   for (std::size_t i = 0; i < 8; ++i) frame[6 + i] = static_cast<std::uint8_t>(seq >> (8 * i));
-  std::memcpy(frame.data() + kHeaderBytes, body.data(), body.size());
+  std::memcpy(frame.data() + header, body.data(), body.size());
   return frame;
 }
 
@@ -69,8 +73,8 @@ class RawSender {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  void send_seq(std::uint16_t dest_port, std::uint64_t seq) {
-    const std::vector<std::uint8_t> frame = make_data_frame(seq);
+  void send_seq(std::uint16_t dest_port, std::uint64_t seq, std::uint8_t version = kVersion) {
+    const std::vector<std::uint8_t> frame = make_data_frame(seq, version);
     sockaddr_in dest{};
     dest.sin_family = AF_INET;
     dest.sin_addr.s_addr = ::htonl(INADDR_LOOPBACK);
@@ -145,6 +149,24 @@ TEST(UdpRegressionTest, DedupFloorRefusesReplayOfEvictedSequences) {
   EXPECT_EQ(delivered.load(), 10u);
 
   udp.destroy_endpoint(sink);
+}
+
+TEST(UdpRegressionTest, VersionOneFrameIsRefusedAsACountedDrop) {
+  UdpTransport udp;
+  std::atomic<std::size_t> delivered{0};
+  const EndpointId sink =
+      udp.create_endpoint(HostId{1}, [&](EndpointId, const Payload&) { delivered.fetch_add(1); });
+  const std::uint16_t port = udp.endpoint_port(sink);
+
+  RawSender sender;
+  sender.send_seq(port, 1, /*version=*/1);
+  // A current frame behind it proves the v1 frame was read (and refused).
+  sender.send_seq(port, 2);
+  ASSERT_TRUE(wait_for_count(delivered, 1));
+  EXPECT_EQ(delivered.load(), 1u);
+  EXPECT_EQ(udp.messages_delivered(), 1u);
+  EXPECT_EQ(udp.messages_dropped(), 1u);
+  EXPECT_EQ(udp.messages_queue_dropped(), 0u);
 }
 
 }  // namespace

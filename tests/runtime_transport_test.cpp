@@ -62,6 +62,30 @@ TEST(RuntimeTransportTest, WorkloadCompletesOverUdpLoopback) {
   EXPECT_GE(serviced, 15u);
 }
 
+TEST(RuntimeTransportTest, SequentialInvokesPiggybackTheirAcks) {
+  // Replies ack their requests and the next request to a replica acks
+  // its reply, so back-to-back invokes send almost no ACK frame, and no
+  // ack comes late enough to cost a retransmit.
+  net::UdpTransport udp;  // default timers: an ack waits at most 10 ms of 20
+  ThreadedSystemConfig cfg;
+  cfg.transport = &udp;
+  ThreadedSystem system{cfg};
+  for (int i = 0; i < 4; ++i) system.add_replica(stats::make_constant(usec(20)));
+  ThreadedClient& client = system.add_client(core::QosSpec{msec(20), 0.9});
+
+  // Counted after a warm-up, so the first executions of each code path
+  // (slow under the sanitizers) cannot delay an ack past the first
+  // retransmit.
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(client.invoke(i).answered) << "warm-up " << i;
+  const std::uint64_t retransmits_before = udp.messages_retransmitted();
+  const std::uint64_t acks_before = udp.acks_sent();
+  constexpr int kInvokes = 500;
+  for (int i = 0; i < kInvokes; ++i) ASSERT_TRUE(client.invoke(i).answered) << "invoke " << i;
+  const std::uint64_t acks = udp.acks_sent() - acks_before;
+  EXPECT_EQ(udp.messages_retransmitted() - retransmits_before, 0u) << acks << " standalone acks";
+  EXPECT_LE(static_cast<double>(acks), 0.25 * kInvokes);
+}
+
 TEST(RuntimeTransportTest, TelemetryCountsUdpTrafficUnderLanNames) {
   obs::Telemetry telemetry;
   net::UdpTransport udp{fast_udp()};

@@ -78,6 +78,11 @@ step "Bench JSON: transport round-trip emits BENCH_transport.json"
 build/bench/transport_roundtrip >/dev/null
 test -s build/bench/BENCH_transport.json
 grep -q '"metric":"udp_rtt_us"' build/bench/BENCH_transport.json
+# Acks ride on the next DATA frame: a ping-pong costs 2 datagrams, not 4.
+grep -o '"metric":"udp_datagrams_per_roundtrip","value":[0-9.e+-]*' \
+  build/bench/BENCH_transport.json | cut -d: -f3 |
+  awk '{exit !($1 <= 2.5)}' ||
+  { echo "FAIL: udp_datagrams_per_roundtrip above 2.5"; exit 1; }
 
 step "Bench JSON: hedging crossover emits BENCH_hedging.json"
 AQUA_BENCH_SEEDS=1 build/bench/hedging_crossover >/dev/null
