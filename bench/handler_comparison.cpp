@@ -1,23 +1,29 @@
 // Handler design space (§2): the timing fault handler (this paper) vs
-// AQuA's active voting handler ([16]-style majority voting, rebuilt on
-// the same substrates). First-reply delivery optimises the latency tail
-// but trusts every reply; majority voting masks value faults and crashes
-// at the cost of waiting for the median replica.
+// AQuA's active voting handler ([16]-style majority voting) and passive
+// primary/backup handler ([17]), both run as presets of the same request
+// engine. First-reply delivery optimises the latency tail but trusts
+// every reply; majority voting masks value faults and crashes at the
+// cost of waiting for the median replica.
 //
 // Metrics over the same fleet: response time (mean/p99), wrong results
-// delivered, undecided/abandoned requests — with and without a
+// delivered, requests unanswered within their slot — with and without a
 // value-faulty replica in the fleet.
 #include <cstdio>
+#include <memory>
+#include <vector>
 
-#include "gateway/active_voting_handler.h"
-#include "gateway/passive_handler.h"
 #include "gateway/system.h"
+#include "gateway/timing_fault_handler.h"
 #include "stats/summary.h"
 
 namespace {
 
 using namespace aqua;
 using namespace aqua::gateway;
+
+constexpr std::uint64_t kSeed = 1234;
+constexpr int kRequests = 100;
+constexpr Duration kSlot = msec(400);
 
 struct Outcome {
   stats::SampleSet response_ms;
@@ -26,142 +32,55 @@ struct Outcome {
   std::size_t unanswered = 0;
 };
 
-replica::ReplicaConfig replica_config(double fault_rate) {
-  replica::ReplicaConfig cfg;
-  cfg.value_fault_rate = fault_rate;
-  return cfg;
+using MakeHandler = std::unique_ptr<TimingFaultHandler> (*)(AquaSystem&);
+
+std::unique_ptr<TimingFaultHandler> timing(AquaSystem& system) {
+  return std::make_unique<TimingFaultHandler>(system.simulator(), system.lan(), system.group(),
+                                              ClientId{77}, HostId{1000},
+                                              core::QosSpec{msec(200), 0.9}, Rng{kSeed});
+}
+std::unique_ptr<TimingFaultHandler> voting(AquaSystem& system) {
+  return make_voting_handler(system.simulator(), system.lan(), system.group(), ClientId{77},
+                             HostId{1000});
+}
+std::unique_ptr<TimingFaultHandler> passive(AquaSystem& system) {
+  return make_passive_handler(system.simulator(), system.lan(), system.group(), ClientId{77},
+                              HostId{1000});
 }
 
-/// Timing fault handler: first reply wins; compare result against the
-/// known ground truth (echo).
-Outcome run_timing(double fault_rate, std::uint64_t seed) {
+/// One request per 400 ms slot over five replicas. The first is the
+/// fastest (the passive primary) and value-faulty at `fault_rate`; with
+/// `crash_fastest` it dies at the start of request 50's slot. The echo
+/// service makes the argument the ground truth.
+Outcome run(MakeHandler make_handler, double fault_rate, bool crash_fastest = false) {
   SystemConfig sys_cfg;
-  sys_cfg.seed = seed;
+  sys_cfg.seed = kSeed;
   AquaSystem system{sys_cfg};
-  // One of five replicas is value-faulty (and also the fastest, worst case).
-  system.add_replica(replica::make_sampled_service(
-                         stats::make_truncated_normal(msec(30), msec(6))),
-                     replica_config(fault_rate));
+  replica::ReplicaConfig faulty;
+  faulty.value_fault_rate = fault_rate;
+  auto& fastest = system.add_replica(
+      replica::make_sampled_service(stats::make_truncated_normal(msec(30), msec(6))), faulty);
   for (int i = 0; i < 4; ++i) {
     system.add_replica(replica::make_sampled_service(
         stats::make_truncated_normal(msec(45), msec(10))));
   }
 
   Outcome outcome;
+  // Outlives every slot: a reply can land after its own slot ended.
+  std::vector<bool> answered(kRequests, false);
   auto& sim = system.simulator();
-  auto handler = std::make_unique<TimingFaultHandler>(
-      system.simulator(), system.lan(), system.group(), ClientId{77}, HostId{1000},
-      core::QosSpec{msec(200), 0.9}, Rng{seed});
+  auto handler = make_handler(system);
   sim.run_for(msec(50));
-  for (int i = 0; i < 100; ++i) {
-    bool answered = false;
+  for (int i = 0; i < kRequests; ++i) {
+    if (crash_fastest && i == 50) fastest.crash_host();
     handler->invoke(i, [&outcome, &answered, i](const ReplyInfo& info) {
-      answered = true;
+      answered[static_cast<std::size_t>(i)] = true;
       outcome.response_ms.add(to_ms(info.response_time));
       if (info.result != i) ++outcome.wrong;
     });
-    sim.run_for(msec(400));
+    sim.run_for(kSlot);
     ++outcome.requests;
-    if (!answered) ++outcome.unanswered;
-  }
-  return outcome;
-}
-
-/// Active voting handler on an identical fleet.
-Outcome run_voting(double fault_rate, std::uint64_t seed) {
-  SystemConfig sys_cfg;
-  sys_cfg.seed = seed;
-  AquaSystem system{sys_cfg};
-  system.add_replica(replica::make_sampled_service(
-                         stats::make_truncated_normal(msec(30), msec(6))),
-                     replica_config(fault_rate));
-  for (int i = 0; i < 4; ++i) {
-    system.add_replica(replica::make_sampled_service(
-        stats::make_truncated_normal(msec(45), msec(10))));
-  }
-
-  Outcome outcome;
-  auto& sim = system.simulator();
-  ActiveVotingHandler handler{system.simulator(), system.lan(),   system.group(),
-                              ClientId{77},       HostId{1000}, Rng{seed}};
-  sim.run_for(msec(50));
-  for (int i = 0; i < 100; ++i) {
-    bool answered = false;
-    handler.invoke(i, [&outcome, &answered, i](const VotedReply& r) {
-      if (r.decided) {
-        answered = true;
-        outcome.response_ms.add(to_ms(r.response_time));
-        if (r.result != i) ++outcome.wrong;
-      }
-    });
-    sim.run_for(msec(400));
-    ++outcome.requests;
-    if (!answered) ++outcome.unanswered;
-  }
-  return outcome;
-}
-
-/// Passive primary/backup handler on an identical fleet.
-Outcome run_passive(double fault_rate, std::uint64_t seed, bool crash_primary = false) {
-  SystemConfig sys_cfg;
-  sys_cfg.seed = seed;
-  AquaSystem system{sys_cfg};
-  auto& fastest = system.add_replica(replica::make_sampled_service(
-                                         stats::make_truncated_normal(msec(30), msec(6))),
-                                     replica_config(fault_rate));
-  for (int i = 0; i < 4; ++i) {
-    system.add_replica(replica::make_sampled_service(
-        stats::make_truncated_normal(msec(45), msec(10))));
-  }
-
-  Outcome outcome;
-  auto& sim = system.simulator();
-  PassiveReplicationHandler handler{system.simulator(), system.lan(), system.group(),
-                                    ClientId{77},       HostId{1000}, PassiveConfig{}};
-  sim.run_for(msec(50));
-  for (int i = 0; i < 100; ++i) {
-    if (crash_primary && i == 50) fastest.crash_host();
-    bool answered = false;
-    handler.invoke(i, [&outcome, &answered, i](const PassiveReply& r) {
-      answered = true;
-      outcome.response_ms.add(to_ms(r.response_time));
-      if (r.result != i) ++outcome.wrong;
-    });
-    sim.run_for(msec(400));
-    ++outcome.requests;
-    if (!answered) ++outcome.unanswered;
-  }
-  return outcome;
-}
-
-/// Timing handler with the favourite crashing mid-run.
-Outcome run_timing_crash(std::uint64_t seed) {
-  SystemConfig sys_cfg;
-  sys_cfg.seed = seed;
-  AquaSystem system{sys_cfg};
-  auto& fastest = system.add_replica(replica::make_sampled_service(
-      stats::make_truncated_normal(msec(30), msec(6))));
-  for (int i = 0; i < 4; ++i) {
-    system.add_replica(replica::make_sampled_service(
-        stats::make_truncated_normal(msec(45), msec(10))));
-  }
-  Outcome outcome;
-  auto& sim = system.simulator();
-  auto handler = std::make_unique<TimingFaultHandler>(
-      system.simulator(), system.lan(), system.group(), ClientId{77}, HostId{1000},
-      core::QosSpec{msec(200), 0.9}, Rng{seed});
-  sim.run_for(msec(50));
-  for (int i = 0; i < 100; ++i) {
-    if (i == 50) fastest.crash_host();
-    bool answered = false;
-    handler->invoke(i, [&outcome, &answered, i](const ReplyInfo& info) {
-      answered = true;
-      outcome.response_ms.add(to_ms(info.response_time));
-      if (info.result != i) ++outcome.wrong;
-    });
-    sim.run_for(msec(400));
-    ++outcome.requests;
-    if (!answered) ++outcome.unanswered;
+    if (!answered[static_cast<std::size_t>(i)]) ++outcome.unanswered;
   }
   return outcome;
 }
@@ -184,16 +103,16 @@ int main() {
     std::snprintf(timing_name, sizeof timing_name, "timing   (fault %.0f%%)", fault_rate * 100);
     std::snprintf(voting_name, sizeof voting_name, "voting   (fault %.0f%%)", fault_rate * 100);
     std::snprintf(passive_name, sizeof passive_name, "passive  (fault %.0f%%)", fault_rate * 100);
-    print_row(timing_name, run_timing(fault_rate, 1234));
-    print_row(voting_name, run_voting(fault_rate, 1234));
-    print_row(passive_name, run_passive(fault_rate, 1234));
+    print_row(timing_name, run(timing, fault_rate));
+    print_row(voting_name, run(voting, fault_rate));
+    print_row(passive_name, run(passive, fault_rate));
   }
 
   std::printf("\ncrash scenario: the fastest replica (the passive PRIMARY) dies mid-run\n");
   std::printf("%-26s %10s %12s %10s %9s %12s\n", "handler", "requests", "mean ms", "p99 ms",
               "wrong", "unanswered");
-  print_row("timing   (crash)", run_timing_crash(1234));
-  print_row("passive  (crash)", run_passive(0.0, 1234, /*crash_primary=*/true));
+  print_row("timing   (crash)", run(timing, 0.0, /*crash_fastest=*/true));
+  print_row("passive  (crash)", run(passive, 0.0, /*crash_fastest=*/true));
   std::printf("\nexpected shape: the timing fault handler is consistently faster (first\n");
   std::printf("reply, usually from the fastest replica) but delivers every corrupted\n");
   std::printf("result the faulty replica wins the race with; the voting handler pays\n");

@@ -16,6 +16,7 @@ std::size_t ReplyCollector::distinct() const {
     case CompletionKind::kKOfN:
       return chunks_.size();
     case CompletionKind::kQuorum:
+    case CompletionKind::kMajorityValue:
       return replicas_.size();
     case CompletionKind::kFirstOfN:
       break;
@@ -23,8 +24,20 @@ std::size_t ReplyCollector::distinct() const {
   return complete_ ? 1 : 0;
 }
 
+std::size_t ReplyCollector::votes() const {
+  std::size_t most = 0;
+  for (const auto& [value, repliers] : tally_) most = std::max(most, repliers);
+  return most;
+}
+
+bool ReplyCollector::can_complete(std::size_t more) const {
+  if (complete_) return true;
+  const std::size_t have = spec_.kind == CompletionKind::kMajorityValue ? votes() : distinct();
+  return have + more >= spec_.required();
+}
+
 bool ReplyCollector::record(ReplicaId replica, std::uint32_t chunk,
-                            std::uint64_t code_id) {
+                            std::uint64_t code_id, std::int64_t value) {
   if (code_id != code_id_) {
     ++stale_;
     return false;
@@ -46,14 +59,24 @@ bool ReplyCollector::record(ReplicaId replica, std::uint32_t chunk,
       complete_ = chunks_.size() >= spec_.required();
       return complete_;
     case CompletionKind::kQuorum:
+    case CompletionKind::kMajorityValue: {
+      // One replica, one vote: a repeat or redispatched copy never counts.
       if (std::find(replicas_.begin(), replicas_.end(), replica) !=
           replicas_.end()) {
         ++duplicates_;
         return false;
       }
       replicas_.push_back(replica);
-      complete_ = replicas_.size() >= spec_.required();
+      std::size_t count = replicas_.size();
+      if (spec_.kind == CompletionKind::kMajorityValue) {
+        auto it = std::find_if(tally_.begin(), tally_.end(),
+                               [value](const auto& entry) { return entry.first == value; });
+        if (it == tally_.end()) it = tally_.insert(tally_.end(), {value, 0});
+        count = ++it->second;
+      }
+      complete_ = count >= spec_.required();
       return complete_;
+    }
   }
   return false;
 }

@@ -15,6 +15,10 @@
 //   quorum — k distinct *replicas* must answer (whole requests, no
 //   coding); the read-quorum building block for future consistency work.
 //
+//   majority value — one value must come back from a strict majority of
+//   the dispatched replicas: AQuA's active handler (§2, [16]), which
+//   masks value faults as well as crashes by voting.
+//
 // The default spec (first-of-n) is the paper's semantics exactly, and the
 // collector below is pure bookkeeping — no randomness, no scheduled
 // events — so the default dispatch path stays bit-identical to the paper
@@ -23,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -36,6 +41,9 @@ enum class CompletionKind : std::uint8_t {
   kKOfN = 1,
   /// k distinct replicas must answer (whole requests, no chunking).
   kQuorum = 2,
+  /// k distinct replicas must answer with one value, k = floor(n/2) + 1
+  /// of the n replicas in K at the first plan.
+  kMajorityValue = 3,
 };
 
 /// When is a request complete? Carried inside DispatchConfig; the
@@ -45,7 +53,8 @@ struct CompletionSpec {
   /// Distinct chunks (kKOfN) or distinct replicas (kQuorum) required.
   /// Ignored for kFirstOfN. Clamped to the dispatched set size when a
   /// plan is built, so an over-ambitious k can never stall a request
-  /// that received every possible reply.
+  /// that received every possible reply; kMajorityValue's is set there
+  /// from the dispatched set size.
   std::size_t k = 1;
 
   [[nodiscard]] static CompletionSpec first_of_n() { return {}; }
@@ -54,6 +63,9 @@ struct CompletionSpec {
   }
   [[nodiscard]] static CompletionSpec quorum(std::size_t k) {
     return {CompletionKind::kQuorum, k};
+  }
+  [[nodiscard]] static CompletionSpec majority_value() {
+    return {CompletionKind::kMajorityValue, 1};
   }
 
   /// True for the paper's first-reply semantics — the identity branch of
@@ -72,11 +84,12 @@ struct CompletionSpec {
 /// Tracks the replies of one pending request and decides completion.
 ///
 /// record() returns true exactly once — on the reply that satisfies the
-/// spec (the k-th *distinct* chunk or replica, or the first reply for the
-/// default spec) — and false forever after; duplicate and stale replies
-/// are counted, never double-counted. The collector is deliberately not
-/// internally locked: it lives in a core::RequestEngine, which the
-/// simulator drives from one thread and ThreadedClient under its mutex.
+/// spec (the k-th *distinct* chunk or replica, the k-th distinct replica
+/// agreeing on one value, or the first reply for the default spec) — and
+/// false forever after; duplicate and stale replies are counted, never
+/// double-counted. The collector is deliberately not internally locked:
+/// it lives in a core::RequestEngine, which the simulator drives from one
+/// thread and ThreadedClient under its mutex.
 class ReplyCollector {
  public:
   /// Replace the default first-of-n spec. Must be called before the
@@ -86,9 +99,16 @@ class ReplyCollector {
   /// and its progress).
   void arm(CompletionSpec spec, std::uint64_t code_id);
 
-  /// Account one reply. Returns true iff this reply completes the
-  /// request (the transition to complete happens exactly once).
-  bool record(ReplicaId replica, std::uint32_t chunk, std::uint64_t code_id);
+  /// Account one reply carrying `value`. Returns true iff this reply
+  /// completes the request (the transition to complete happens exactly
+  /// once).
+  bool record(ReplicaId replica, std::uint32_t chunk, std::uint64_t code_id,
+              std::int64_t value);
+
+  /// Whether `more` further distinct replies could still complete the
+  /// request (true once complete). With none left to come, a split vote
+  /// or a short chunk count is impossible.
+  [[nodiscard]] bool can_complete(std::size_t more) const;
 
   [[nodiscard]] bool armed() const { return armed_; }
   [[nodiscard]] bool complete() const { return complete_; }
@@ -97,8 +117,10 @@ class ReplyCollector {
   [[nodiscard]] std::size_t required() const { return spec_.required(); }
 
   /// Distinct useful replies so far (chunk indices for kKOfN, replicas
-  /// for kQuorum, answered-or-not for kFirstOfN).
+  /// for kQuorum and kMajorityValue, answered-or-not for kFirstOfN).
   [[nodiscard]] std::size_t distinct() const;
+  /// kMajorityValue: replicas behind the most common value (0 otherwise).
+  [[nodiscard]] std::size_t votes() const;
 
   /// Replies that repeated an already-counted chunk/replica or arrived
   /// after completion.
@@ -115,6 +137,7 @@ class ReplyCollector {
   std::uint64_t stale_ = 0;
   std::vector<std::uint32_t> chunks_;    // distinct chunk indices seen
   std::vector<ReplicaId> replicas_;      // distinct repliers seen
+  std::vector<std::pair<std::int64_t, std::size_t>> tally_;  // value -> repliers
 };
 
 }  // namespace aqua::core

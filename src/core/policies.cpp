@@ -178,6 +178,26 @@ class AllReplicasPolicy final : public SelectionPolicy {
   std::string name() const override { return "all-replicas"; }
 };
 
+class PrimaryPolicy final : public SelectionPolicy {
+ public:
+  SelectionResult select(std::span<const ReplicaObservation> observations, const QosSpec& qos,
+                         Duration, Rng&) override {
+    AQUA_REQUIRE(!observations.empty(), "selection requires at least one replica");
+    qos.validate();
+    SelectionResult result;
+    result.selected.push_back(std::min_element(observations.begin(), observations.end(),
+                                               [](const ReplicaObservation& a,
+                                                  const ReplicaObservation& b) {
+                                                 return a.id < b.id;
+                                               })
+                                  ->id);
+    result.feasible = true;
+    return result;
+  }
+
+  std::string name() const override { return "primary"; }
+};
+
 class ObservedPolicy final : public SelectionPolicy {
  public:
   ObservedPolicy(PolicyPtr inner, obs::Telemetry* telemetry) : inner_(std::move(inner)) {
@@ -315,6 +335,8 @@ PolicyPtr make_round_robin_policy(std::size_t k) {
 
 PolicyPtr make_all_replicas_policy() { return std::make_unique<AllReplicasPolicy>(); }
 
+PolicyPtr make_primary_policy() { return std::make_unique<PrimaryPolicy>(); }
+
 PolicyPtr make_static_k_policy(std::size_t k, ModelConfig model, LoadScoreConfig load) {
   AQUA_REQUIRE(k >= 1, "static policy needs k >= 1");
   return std::make_unique<StaticKPolicy>(k, model, load);
@@ -362,10 +384,13 @@ DispatchPlan plan_dispatch(const DispatchConfig& config, const SelectionResult& 
   if (!config.completion.is_default()) {
     // Clamp the predicate to what is actually going out: an
     // over-ambitious k must not leave a request waiting on replies that
-    // can never exist. Coding only engages for k-of-n — a quorum reads
-    // whole requests, so its copies stay uncoded.
+    // can never exist, and a majority is one of what was sent. Coding
+    // only engages for k-of-n — a quorum or a vote reads whole requests,
+    // so its copies stay uncoded.
     CompletionSpec spec = config.completion;
-    spec.k = std::clamp<std::size_t>(spec.k, 1, plan.primary.size());
+    spec.k = spec.kind == CompletionKind::kMajorityValue
+                 ? plan.primary.size() / 2 + 1
+                 : std::clamp<std::size_t>(spec.k, 1, plan.primary.size());
     plan.completion = spec;
     if (spec.kind == CompletionKind::kKOfN) {
       plan.coded = true;

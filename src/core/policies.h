@@ -61,6 +61,12 @@ PolicyPtr make_round_robin_policy(std::size_t k);
 /// Every available replica (maximum fault tolerance, zero scalability).
 PolicyPtr make_all_replicas_policy();
 
+/// The lowest-id known replica and no other, cold repository included:
+/// the primary of AQuA's passive handler (§2, [17]). Backups carry no
+/// load until a view change removes the primary. make_static_k_policy(1)
+/// is not this: it ranks by F_Ri(t) and sends a cold start to everyone.
+PolicyPtr make_primary_policy();
+
 /// The k replicas with the highest F_Ri(t) regardless of the client's
 /// probability request (static redundancy baseline). With `load.enabled`
 /// the k are picked by the load-compensated score instead (suspect
@@ -124,7 +130,8 @@ struct DispatchConfig {
   /// paper's first-reply-wins semantics. k_of_n(k) turns the request
   /// into a divisible job: K chunk-requests are MDS-coded so any k
   /// distinct chunk-replies reconstruct the result; quorum(k) demands
-  /// k distinct repliers of the whole request.
+  /// k distinct repliers of the whole request; majority_value() a
+  /// strict majority of K agreeing on one value.
   CompletionSpec completion{};
 
   [[nodiscard]] bool is_default() const {

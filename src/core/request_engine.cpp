@@ -324,6 +324,7 @@ void RequestEngine::dispatch(TimePoint now, RequestId id, PendingRequest& pendin
         .cache_misses = cache_after.misses - cache_before.misses});
   }
   overhead_.record(cost.delta);
+  if (redispatch) ++redispatches_;
   if (selection_delta_histogram_ != nullptr) {
     selection_delta_histogram_->record(cost.delta);
     if (redispatch) redispatches_counter_->add();
@@ -459,6 +460,11 @@ TimePoint RequestEngine::take_send_time(PendingRequest& pending, const proto::Re
   return sent;
 }
 
+bool RequestEngine::copy_in_flight(const PendingRequest& pending) const {
+  return std::any_of(pending.copies.begin(), pending.copies.end(),
+                     [&](const CopySent& c) { return replica_endpoints_.contains(c.replica); });
+}
+
 void RequestEngine::on_reply(TimePoint now, const proto::Reply& reply, Actions& out) {
   const TimePoint t4 = now;
   if (replies_counter_ != nullptr) replies_counter_->add();
@@ -486,8 +492,10 @@ void RequestEngine::on_reply(TimePoint now, const proto::Reply& reply, Actions& 
 
   // The completion predicate decides delivery: first-of-n completes on
   // reply #1, k-of-n at the k-th distinct chunk, quorum at the k-th
-  // distinct replica. Stale generations and duplicates never complete.
-  const bool completed = pending.collector.record(reply.replica, reply.chunk, reply.code_id);
+  // distinct replica, a vote at the majority-th replica agreeing on one
+  // value. Stale generations and duplicates never complete.
+  const bool completed =
+      pending.collector.record(reply.replica, reply.chunk, reply.code_id, reply.result);
   RequestRecord& record = record_of(pending);
   if (pending.collector.armed()) record.chunks_received = pending.collector.distinct();
 
@@ -541,6 +549,17 @@ void RequestEngine::on_reply(TimePoint now, const proto::Reply& reply, Actions& 
     if (!pending.is_probe) {
       out.emplace_back(Deliver{{reply.request, reply.replica, reply.result, tr, timely}, record});
     }
+  } else if (pending.collector.armed() && !pending.outcome_recorded && pending.awaiting.empty() &&
+             pending.hedge_set.empty() && pending.transmits.empty() &&
+             !copy_in_flight(pending) && !pending.collector.can_complete(0)) {
+    // Every live copy answered and the predicate still fails (a split
+    // vote, too few distinct chunks): waiting for the deadline cannot
+    // change that. `awaiting` alone is not enough: a replica re-selected
+    // by a redispatch leaves it on answering its older copy, while the
+    // fresh one is still in flight. Unarmed first-of-n never gets here:
+    // reply #1 completes it.
+    cancel(out, pending.deadline_timer);
+    record_outcome(now, pending, /*timely=*/false, out);
   }
   finish_if_complete(reply.request);
 }
@@ -623,17 +642,17 @@ void RequestEngine::on_view_change(TimePoint now, std::span<const EndpointId> de
       std::erase(pending.hedge_set, replica);
     }
     if (pending.delivered) continue;
-    // Chunks collected + copies in flight + the held hedge set must still
-    // reach k (first-of-n: someone is still awaited). Otherwise release
-    // the hedge set if that closes the gap, or reselect.
-    const std::size_t reachable =
-        pending.collector.distinct() + pending.awaiting.size() + pending.hedge_set.size();
-    if (!pending.awaiting.empty() && reachable >= pending.collector.required()) continue;
+    // Replies collected + copies in flight + the held hedge set must still
+    // be able to complete (first-of-n: someone is still awaited).
+    // Otherwise release the hedge set if that closes the gap, or reselect.
+    const bool reachable =
+        pending.collector.can_complete(pending.awaiting.size() + pending.hedge_set.size());
+    if (!pending.awaiting.empty() && reachable) continue;
     if (pending.is_probe) {
       // A probe's only target is gone; the staleness scan re-probes
       // whoever needs it.
       dead_probes.push_back(id);
-    } else if (!pending.hedge_set.empty() && reachable >= pending.collector.required()) {
+    } else if (!pending.hedge_set.empty() && reachable) {
       to_hedge.push_back(id);
     } else if (config_.redispatch_on_view_change) {
       to_redispatch.push_back(id);

@@ -66,7 +66,8 @@ struct RequestRecord {
   bool hedged = false;       // K split: the rest held behind the hedge timer
   bool hedge_fired = false;  // ... and the held-back members were sent
   std::size_t cancels_sent = 0;  // after the completing reply
-  /// Coded dispatch: distinct chunks required (0 = uncoded) and collected.
+  /// Coded dispatch: distinct chunks required (0 = uncoded). Any armed
+  /// predicate: distinct chunks or repliers collected.
   std::uint32_t code_k = 0;
   std::size_t chunks_received = 0;
   Duration selection_delta{};  // delta charged for the latest selection
@@ -221,6 +222,8 @@ class RequestEngine {
   [[nodiscard]] std::uint64_t probes_sent() const { return probes_sent_; }
   [[nodiscard]] std::uint64_t hedges_fired() const { return hedges_fired_; }
   [[nodiscard]] std::uint64_t cancels_sent() const { return cancels_sent_; }
+  /// Re-selections after a view change left a request short of replies.
+  [[nodiscard]] std::uint64_t redispatches() const { return redispatches_; }
   /// Gateway-delay samples whose raw t_d was negative and got floored.
   [[nodiscard]] std::uint64_t td_clamped() const { return td_clamped_; }
 
@@ -302,6 +305,9 @@ class RequestEngine {
   std::vector<EndpointId> endpoints_of(std::span<const ReplicaId> replicas,
                                        std::vector<std::size_t>* known = nullptr) const;
   /// Send time of the copy `reply` answers (t1 if none matches).
+  /// Whether a copy sent to a replica still in the directory has not
+  /// answered yet (a departed replica's copy never will).
+  [[nodiscard]] bool copy_in_flight(const PendingRequest& pending) const;
   TimePoint take_send_time(PendingRequest& pending, const proto::Reply& reply);
   /// Record a piggybacked or pushed sample of a replica in the view.
   bool harvest(TimePoint now, ReplicaId replica, const proto::PerfData& perf,
@@ -347,6 +353,7 @@ class RequestEngine {
   std::uint64_t probes_sent_ = 0;
   std::uint64_t hedges_fired_ = 0;
   std::uint64_t cancels_sent_ = 0;
+  std::uint64_t redispatches_ = 0;
   std::uint64_t td_clamped_ = 0;
 
   /// Null when telemetry is off: one branch on every instrumented site.

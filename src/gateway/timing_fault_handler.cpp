@@ -201,4 +201,43 @@ core::DispatchCost TimingFaultHandler::selection_cost(const core::SelectionView&
   return {config_.overhead.interception + cost, cost};
 }
 
+namespace {
+
+/// Passive's deadline. A request is reclaimed 10 deadlines after t0, so
+/// it outlives a double failover (one failure-detection delay each); a
+/// request parks up to one deadline for its first replica.
+constexpr Duration kPassiveDeadline = sec(2);
+
+HandlerConfig interception_only() {
+  HandlerConfig config;
+  OverheadModel& overhead = config.overhead;
+  overhead.base = overhead.per_replica = overhead.per_cached_replica = overhead.per_chunk =
+      Duration::zero();
+  overhead.per_atom_ns = 0.0;
+  return config;
+}
+
+}  // namespace
+
+std::unique_ptr<TimingFaultHandler> make_voting_handler(sim::Simulator& simulator, net::Lan& lan,
+                                                        net::MulticastGroup& group, ClientId client,
+                                                        HostId host, Duration vote_timeout) {
+  HandlerConfig config = interception_only();
+  config.dispatch.completion = core::CompletionSpec::majority_value();
+  config.redispatch_on_view_change = false;
+  return std::make_unique<TimingFaultHandler>(simulator, lan, group, client, host,
+                                              core::QosSpec{vote_timeout, 0.0}, Rng{0}, config,
+                                              core::make_all_replicas_policy());
+}
+
+std::unique_ptr<TimingFaultHandler> make_passive_handler(sim::Simulator& simulator, net::Lan& lan,
+                                                         net::MulticastGroup& group,
+                                                         ClientId client, HostId host) {
+  HandlerConfig config = interception_only();
+  config.selection.include_dataless = false;  // backups stay idle
+  return std::make_unique<TimingFaultHandler>(simulator, lan, group, client, host,
+                                              core::QosSpec{kPassiveDeadline, 0.0}, Rng{0},
+                                              config, core::make_primary_policy());
+}
+
 }  // namespace aqua::gateway

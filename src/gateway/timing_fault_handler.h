@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -157,6 +158,7 @@ class TimingFaultHandler {
   [[nodiscard]] std::uint64_t probes_sent() const { return engine_.probes_sent(); }
   [[nodiscard]] std::uint64_t hedges_fired() const { return engine_.hedges_fired(); }
   [[nodiscard]] std::uint64_t cancels_sent() const { return engine_.cancels_sent(); }
+  [[nodiscard]] std::uint64_t redispatches() const { return engine_.redispatches(); }
   [[nodiscard]] std::uint64_t td_clamped() const { return engine_.td_clamped(); }
   [[nodiscard]] const core::ModelCache& model_cache() const { return engine_.model_cache(); }
   [[nodiscard]] std::size_t outstanding_requests(ReplicaId replica) const {
@@ -180,5 +182,27 @@ class TimingFaultHandler {
   std::unordered_map<RequestId, ReplyCallback> callbacks_;
   QosViolationCallback on_violation_;
 };
+
+// The sibling handlers of §2 as presets of the same engine. Neither runs
+// Algorithm 1, so their OverheadModel charges only the interception.
+
+/// AQuA's active handler ([16]): every request goes to every known
+/// replica and is delivered once a strict majority of them return one
+/// value, masking a value fault as well as a crash. The QoS deadline is
+/// `vote_timeout`: a vote still open then is a timing failure, though a
+/// majority that forms later is still delivered, untimely. A vote split
+/// at its last reply fails at once and delivers nothing (its history()
+/// record keeps no response_time). Replicas lost to a view change are
+/// not replaced.
+std::unique_ptr<TimingFaultHandler> make_voting_handler(sim::Simulator& simulator, net::Lan& lan,
+                                                        net::MulticastGroup& group, ClientId client,
+                                                        HostId host, Duration vote_timeout = sec(2));
+
+/// AQuA's passive handler ([17]): every request goes to the primary, the
+/// lowest-id known replica, alone. When a view change removes it, the
+/// engine's redispatch fails its requests over to the next id.
+std::unique_ptr<TimingFaultHandler> make_passive_handler(sim::Simulator& simulator, net::Lan& lan,
+                                                         net::MulticastGroup& group,
+                                                         ClientId client, HostId host);
 
 }  // namespace aqua::gateway

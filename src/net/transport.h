@@ -32,11 +32,15 @@ class Telemetry;
 namespace aqua::net {
 
 /// Invoked on delivery: sender endpoint and the message. Runs inside
-/// simulator events (sim backend) or on a delivery thread (UDP backend).
+/// simulator events (sim backend), on the executor thread (in-process
+/// LocalTransport) or inline on the receiving endpoint's own receive
+/// thread (UDP backend).
 using ReceiveFn = std::function<void(EndpointId from, const Payload& message)>;
 
 /// Invoked when a host changes liveness (false = crashed / stopped
-/// acking). The UDP backend may notify from its retransmit thread.
+/// acking). The UDP backend notifies from its timer thread when the
+/// retransmit budget runs out, and from a receive thread when a later
+/// frame shows the host alive again.
 using HostStateFn = std::function<void(HostId host, bool alive)>;
 
 class Transport {

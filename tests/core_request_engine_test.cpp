@@ -207,6 +207,35 @@ TEST(RequestEngineTest, DeadlineDecidesAFailureAndALateReplyStillDelivers) {
   EXPECT_EQ(s.engine().find_record(id)->response_time, msec(130));  // amended
 }
 
+TEST(RequestEngineTest, SplitVoteFailsAtItsLastReplyNotAtTheDeadline) {
+  EngineConfig config;
+  config.dispatch.completion = CompletionSpec::majority_value();
+  Script s{config, 2, make_all_replicas_policy()};
+  const RequestId id = s.invoke(at_ms(10));
+  const Actions sent = s.run_until(at_ms(10));
+  const auto sends = all_of<SendRequest>(sent);
+  ASSERT_EQ(sends.size(), 1u);
+  EXPECT_EQ(sends[0]->targets.size(), 2u);
+
+  proto::Reply corrupted = reply_from(id, 1, msec(2));
+  corrupted.result += 1;
+  EXPECT_TRUE(all_of<Outcome>(s.reply(at_ms(15), corrupted)).empty());  // 2 can still win
+  // 1 vs 1 where a majority of 2 must agree, nothing left awaited: the
+  // failure is decided now, not at the deadline.
+  const Actions last = s.reply(at_ms(18), reply_from(id, 2, msec(2)));
+  EXPECT_TRUE(all_of<Deliver>(last).empty());
+  const auto outcomes = all_of<Outcome>(last);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0]->record.timely);
+  EXPECT_EQ(outcomes[0]->record.chunks_received, 2u);
+  EXPECT_FALSE(outcomes[0]->record.response_time.has_value());
+  ASSERT_EQ(all_of<CancelTimer>(last).size(), 1u);
+  EXPECT_EQ(all_of<CancelTimer>(last)[0]->timer.kind, TimerKind::kDeadline);
+  EXPECT_EQ(s.engine().failure_tracker().failures(), 1u);
+  EXPECT_EQ(s.engine().find_record(id), nullptr);  // retired at once
+  EXPECT_TRUE(all_of<Outcome>(s.run_until(at_ms(10) + kDeadline * 11)).empty());
+}
+
 TEST(RequestEngineTest, HedgeFiresAfterItsDelayAndTimesTheBackupFromItsOwnSend) {
   EngineConfig config;
   config.dispatch.mode = DispatchMode::kHedged;
@@ -436,6 +465,42 @@ TEST(RequestEngineCrashTest, CodedCopySentBeforeARedispatchKeepsItsOwnSendTime) 
   s.reply(at_ms(2902), reply_from(id, 2, msec(900), 1, code_id));
   EXPECT_EQ(s.engine().repository().observe(ReplicaId{2}).gateway_delay, msec(2));
   EXPECT_EQ(s.engine().td_clamped(), 0u);
+}
+
+TEST(RequestEngineCrashTest, OldCopiesAnsweringAfterARedispatchDoNotFailItFast) {
+  EngineConfig config;
+  config.dispatch.completion = CompletionSpec::k_of_n(3);
+  Script s{config, 3, make_all_replicas_policy()};
+  s.warm(at_ms(0));
+
+  const std::uint64_t failures = s.engine().failure_tracker().failures();
+  const RequestId id = s.invoke(at_ms(2000));
+  const Actions sent = s.run_until(at_ms(2000));
+  const auto sends = all_of<SendRequest>(sent);
+  ASSERT_EQ(sends.size(), 1u);
+  EXPECT_EQ(sends[0]->chunks, (std::vector<std::uint32_t>{0, 1, 2}));
+  const std::uint64_t code_id = sends[0]->request.code_id;
+  // 0 distinct + 2 awaited < 3: both survivors get fresh chunks.
+  s.depart(at_ms(2001), {3});
+  const Actions redispatched = s.run_until(at_ms(2001));
+  const auto resent = all_of<SendRequest>(redispatched);
+  ASSERT_EQ(resent.size(), 1u);
+  EXPECT_EQ(resent[0]->targets, (std::vector<EndpointId>{endpoint_of(1), endpoint_of(2)}));
+  EXPECT_EQ(resent[0]->chunks, (std::vector<std::uint32_t>{3, 4}));
+
+  // The copies sent first answer first and leave nothing awaited, but
+  // chunks 3 and 4 are still in flight: no failure yet.
+  const Actions first = s.reply(at_ms(2005), reply_from(id, 1, msec(1), 0, code_id));
+  const Actions second = s.reply(at_ms(2006), reply_from(id, 2, msec(1), 1, code_id));
+  EXPECT_TRUE(all_of<Outcome>(first).empty());
+  EXPECT_TRUE(all_of<Outcome>(second).empty());
+  EXPECT_EQ(s.engine().failure_tracker().failures(), failures);
+  ASSERT_NE(s.engine().find_record(id), nullptr);
+
+  const Actions third = s.reply(at_ms(2008), reply_from(id, 1, msec(1), 3, code_id));
+  ASSERT_EQ(all_of<Deliver>(third).size(), 1u);
+  EXPECT_TRUE(all_of<Deliver>(third)[0]->info.timely);
+  EXPECT_EQ(s.engine().failure_tracker().failures(), failures);
 }
 
 TEST(RequestEngineCrashTest, ProbeWhoseTargetDepartsIsDropped) {

@@ -1,11 +1,11 @@
-// Tests of the passive replication handler: primary routing, failover on
-// view change, interplay with the dependability manager.
-#include "gateway/passive_handler.h"
-
+// Tests of the passive preset (AQuA's primary/backup handler on the
+// request engine): primary routing, failover on view change.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
+#include "gateway/timing_fault_handler.h"
 #include "replica/replica_server.h"
 
 namespace aqua::gateway {
@@ -28,9 +28,8 @@ class PassiveTest : public ::testing::Test {
     return *replicas_.back();
   }
 
-  std::unique_ptr<PassiveReplicationHandler> make_handler() {
-    auto handler = std::make_unique<PassiveReplicationHandler>(sim_, lan_, group_, ClientId{1},
-                                                               HostId{1});
+  std::unique_ptr<TimingFaultHandler> make_handler() {
+    auto handler = make_passive_handler(sim_, lan_, group_, ClientId{1}, HostId{1});
     sim_.run_for(msec(50));
     return handler;
   }
@@ -45,12 +44,13 @@ TEST_F(PassiveTest, RoutesToLowestIdPrimary) {
   auto& r1 = add_replica(1, msec(10));
   auto& r2 = add_replica(2, msec(10));
   auto handler = make_handler();
-  ASSERT_EQ(handler->primary(), ReplicaId{1});
-  PassiveReply out;
-  handler->invoke(5, [&](const PassiveReply& r) { out = r; });
+  ASSERT_EQ(handler->known_replicas(), 2u);
+  std::optional<ReplyInfo> out;
+  handler->invoke(5, [&](const ReplyInfo& r) { out = r; });
   sim_.run_for(sec(1));
-  EXPECT_EQ(out.primary, ReplicaId{1});
-  EXPECT_EQ(out.result, 5);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->replica, ReplicaId{1});
+  EXPECT_EQ(out->result, 5);
   EXPECT_EQ(r1.serviced_requests(), 1u);
   EXPECT_EQ(r2.serviced_requests(), 0u);  // backups are idle
 }
@@ -61,7 +61,7 @@ TEST_F(PassiveTest, BackupsCarryNoLoad) {
   add_replica(3, msec(5));
   auto handler = make_handler();
   for (int i = 0; i < 10; ++i) {
-    handler->invoke(i, [](const PassiveReply&) {});
+    handler->invoke(i, [](const ReplyInfo&) {});
     sim_.run_for(msec(200));
   }
   EXPECT_EQ(replicas_[0]->serviced_requests(), 10u);
@@ -75,48 +75,42 @@ TEST_F(PassiveTest, PromotesNextReplicaAfterPrimaryCrash) {
   auto handler = make_handler();
   primary.crash_host();
   sim_.run_for(sec(2));  // past failure detection
-  EXPECT_EQ(handler->primary(), ReplicaId{2});
-  PassiveReply out;
-  handler->invoke(9, [&](const PassiveReply& r) { out = r; });
+  EXPECT_EQ(handler->known_replicas(), 1u);
+  std::optional<ReplyInfo> out;
+  handler->invoke(9, [&](const ReplyInfo& r) { out = r; });
   sim_.run_for(sec(1));
-  EXPECT_EQ(out.primary, ReplicaId{2});
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->replica, ReplicaId{2});
+  EXPECT_EQ(handler->redispatches(), 0u);  // sent to the new primary directly
 }
 
 TEST_F(PassiveTest, InFlightRequestFailsOverAndCompletes) {
   auto& primary = add_replica(1, msec(300));
   add_replica(2, msec(10));
   auto handler = make_handler();
-  PassiveReply out;
-  TimePoint answered_at{};
-  handler->invoke(4, [&](const PassiveReply& r) {
-    out = r;
-    answered_at = sim_.now();
-  });
+  std::optional<ReplyInfo> out;
+  handler->invoke(4, [&](const ReplyInfo& r) { out = r; });
   // Crash the primary while it is servicing the request.
   sim_.schedule_after(msec(50), [&] { primary.crash_host(); });
   sim_.run_for(sec(5));
-  EXPECT_EQ(out.primary, ReplicaId{2});
-  EXPECT_EQ(out.result, 4);
-  EXPECT_EQ(out.failovers, 1u);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->replica, ReplicaId{2});
+  EXPECT_EQ(out->result, 4);
   // The outage cost at least the failure-detection delay (default 500ms).
-  EXPECT_GE(out.response_time, msec(500));
-  EXPECT_EQ(handler->failovers(), 1u);
+  EXPECT_GE(out->response_time, msec(500));
+  EXPECT_EQ(handler->redispatches(), 1u);
 }
 
 TEST_F(PassiveTest, RequestParkedWithNoReplicas) {
   auto handler = make_handler();
-  PassiveReply out;
-  bool answered = false;
-  handler->invoke(2, [&](const PassiveReply& r) {
-    out = r;
-    answered = true;
-  });
+  std::optional<ReplyInfo> out;
+  handler->invoke(2, [&](const ReplyInfo& r) { out = r; });
   sim_.run_for(sec(1));
-  EXPECT_FALSE(answered);
+  EXPECT_FALSE(out.has_value());
   add_replica(1, msec(5));
   sim_.run_for(sec(1));
-  EXPECT_TRUE(answered);
-  EXPECT_EQ(out.result, 2);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->result, 2);
 }
 
 TEST_F(PassiveTest, DoubleCrashFailsOverTwice) {
@@ -124,14 +118,15 @@ TEST_F(PassiveTest, DoubleCrashFailsOverTwice) {
   auto& r2 = add_replica(2, msec(400));
   add_replica(3, msec(10));
   auto handler = make_handler();
-  PassiveReply out;
-  handler->invoke(6, [&](const PassiveReply& r) { out = r; });
+  std::optional<ReplyInfo> out;
+  handler->invoke(6, [&](const ReplyInfo& r) { out = r; });
   sim_.schedule_after(msec(50), [&] { r1.crash_host(); });
   // r2 becomes primary at ~550ms and starts servicing; kill it too.
   sim_.schedule_after(msec(700), [&] { r2.crash_host(); });
   sim_.run_for(sec(10));
-  EXPECT_EQ(out.primary, ReplicaId{3});
-  EXPECT_EQ(out.failovers, 2u);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->replica, ReplicaId{3});
+  EXPECT_EQ(handler->redispatches(), 2u);
 }
 
 }  // namespace

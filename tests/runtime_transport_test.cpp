@@ -247,12 +247,13 @@ std::ostream& operator<<(std::ostream& os, const DecisionClass& d) {
             << " first=" << d.first_replica << " cancels=" << d.cancels_sent << "}";
 }
 
-/// One fast replica and two 10x and 14x slower ones, with a deadline only
+/// One fast replica and two 40x and 56x slower ones, with a deadline only
 /// the fast one meets: F_R(t) is ~1 for it and exactly 0 for the others,
 /// so no near-tie is left to a race (two warm replicas that both meet the
 /// deadline can tie at F = 1 and be ranked by rounding dust). The spec is
 /// then infeasible and K is every replica. The hedge waits half the
-/// deadline, 10 ms past the fast reply.
+/// deadline, 55 ms past the fast reply, so a loaded machine's scheduling
+/// delay cannot fire it first on one transport only.
 std::vector<DecisionClass> run_decisions(net::Transport* transport,
                                          core::DispatchConfig dispatch) {
   dispatch.min_hedge_fraction = 0.5;
@@ -261,9 +262,9 @@ std::vector<DecisionClass> run_decisions(net::Transport* transport,
   cfg.client.dispatch = dispatch;
   ThreadedSystem system{cfg};
   system.add_replica(stats::make_constant(msec(5)));
-  system.add_replica(stats::make_constant(msec(50)));
-  system.add_replica(stats::make_constant(msec(70)));
-  ThreadedClient& client = system.add_client(core::QosSpec{msec(30), 0.9});
+  system.add_replica(stats::make_constant(msec(200)));
+  system.add_replica(stats::make_constant(msec(280)));
+  ThreadedClient& client = system.add_client(core::QosSpec{msec(120), 0.9});
 
   std::vector<DecisionClass> decisions;
   for (int i = 0; i < 10; ++i) {

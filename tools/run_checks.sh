@@ -9,8 +9,10 @@
 # the selection hot path measurably slower than no hub at all. After the
 # gates, observability acceptance checks run (ISSUE 4): machine-readable
 # bench JSON artifacts, byte-identical Perfetto export across same-seed
-# runs, and a live /metrics scrape against a threaded run. The
-# calibration gates cover the prediction-calibration layer: a disabled
+# runs, bench/handler_comparison's table byte-identical to the committed
+# bench/golden/handler_comparison.txt, and a live /metrics scrape against
+# a threaded run. The calibration gates cover the prediction-calibration
+# layer: a disabled
 # tracker must stay within 2% of the bare outcome path, the scripted
 # service-shift scenario must raise the drift alert deterministically
 # before the QoS violation, calibration_report must emit
@@ -127,6 +129,10 @@ build/tools/aqua_experiment --seed 4242 --requests 20 --replicas 5 \
 build/tools/aqua_experiment --seed 4242 --requests 20 --replicas 5 \
   --perfetto "${GOLD_DIR}/b.json" >/dev/null
 cmp "${GOLD_DIR}/a.json" "${GOLD_DIR}/b.json"
+
+step "Golden handler comparison: the Release build prints the committed table"
+build/bench/handler_comparison >"${GOLD_DIR}/handler_comparison.txt"
+cmp bench/golden/handler_comparison.txt "${GOLD_DIR}/handler_comparison.txt"
 
 step "Scrape smoke test: live /metrics during a threaded run"
 SCRAPE_PORT=19317
