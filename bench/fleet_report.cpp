@@ -68,13 +68,15 @@ struct ReplicaNode {
 
   explicit ReplicaNode(std::uint64_t id) {
     transport.set_telemetry(&telemetry);
+    replica::ReplicaConfig config;
+    config.telemetry = &telemetry;
     replica = std::make_unique<runtime::ThreadedReplica>(
-        ReplicaId{id}, stats::make_exponential(msec(2)), Rng{7}.fork("replica").fork(id),
-        transport,
+        ReplicaId{id}, replica::make_sampled_service(stats::make_exponential(msec(2))),
+        Rng{7}.fork("replica").fork(id), transport,
         [this, id](net::ReceiveFn fn) {
           return transport.create_endpoint_on(HostId{id}, /*port=*/0, std::move(fn));
         },
-        &telemetry);
+        config);
     udp_port = transport.endpoint_port(replica->endpoint());
     scrape = std::make_unique<obs::ScrapeServer>(telemetry, /*port=*/0);
   }

@@ -52,6 +52,13 @@ inline TimePoint steady_now() {
       std::chrono::steady_clock::now().time_since_epoch())};
 }
 
+/// The steady-clock instant of a TimePoint on steady_now()'s axis, for
+/// timed waits.
+inline std::chrono::steady_clock::time_point to_steady(TimePoint t) {
+  return std::chrono::steady_clock::time_point{
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(t.time_since_epoch())};
+}
+
 /// Render a duration as a short human-readable string, e.g. "12.345ms".
 std::string to_string(Duration d);
 

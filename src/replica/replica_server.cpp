@@ -1,10 +1,7 @@
 #include "replica/replica_server.h"
 
-#include <algorithm>
-
 #include "common/assert.h"
 #include "common/log.h"
-#include "obs/telemetry.h"
 
 namespace aqua::replica {
 
@@ -14,242 +11,83 @@ ReplicaServer::ReplicaServer(sim::Simulator& simulator, net::Lan& lan, net::Mult
     : simulator_(simulator),
       lan_(lan),
       group_(group),
-      id_(id),
       host_(host),
-      service_model_(std::move(service_model)),
-      rng_(std::move(rng)),
-      config_(std::move(config)) {
-  AQUA_REQUIRE(service_model_ != nullptr, "replica needs a service model");
-  AQUA_REQUIRE(config_.gateway_overhead >= Duration::zero(),
-               "gateway overhead must be non-negative");
-  if (config_.telemetry != nullptr) {
-    auto& metrics = config_.telemetry->metrics();
-    requests_counter_ = &metrics.counter("replica.requests");
-    replies_counter_ = &metrics.counter("replica.replies");
-    crashes_counter_ = &metrics.counter("replica.crashes");
-    restarts_counter_ = &metrics.counter("replica.restarts");
-    purged_counter_ = &metrics.counter("replica.cancels_purged");
-    service_time_histogram_ = &metrics.histogram("replica.service_time_us");
-    queuing_delay_histogram_ = &metrics.histogram("replica.queuing_delay_us");
-    queue_length_gauge_ =
-        &metrics.gauge("replica." + std::to_string(id_.value()) + ".queue_length");
-    if (config_.telemetry->spans_enabled()) span_sink_ = config_.telemetry;
-  }
+      gateway_overhead_(config.gateway_overhead),
+      core_(id, std::move(service_model), std::move(rng), std::move(config)) {
+  AQUA_REQUIRE(gateway_overhead_ >= Duration::zero(), "gateway overhead must be non-negative");
+  open_endpoint();
+}
+
+void ReplicaServer::open_endpoint() {
   endpoint_ = lan_.create_endpoint(
       host_, [this](EndpointId from, const net::Payload& m) { on_receive(from, m); });
   group_.join(endpoint_);
-  announce();
-}
-
-void ReplicaServer::announce() {
   group_.broadcast(endpoint_,
-                   net::Payload::make(proto::Announce{id_, endpoint_}, proto::kAnnounceBytes));
+                   net::Payload::make(proto::Announce{id(), endpoint_}, proto::kAnnounceBytes));
 }
 
 void ReplicaServer::on_receive(EndpointId from, const net::Payload& message) {
-  if (!alive_) return;
+  if (!core_.alive()) return;
   if (const auto* request = message.get_if<proto::Request>()) {
-    handle_request(from, *request, message.span());
-    return;
-  }
-  if (const auto* subscribe = message.get_if<proto::Subscribe>()) {
-    if (std::find(subscribers_.begin(), subscribers_.end(), subscribe->reply_to) ==
-        subscribers_.end()) {
-      subscribers_.push_back(subscribe->reply_to);
-    }
+    core_.admit(simulator_.now(), *request, from, message.span());
+    start_next();
+  } else if (message.get_if<proto::Subscribe>() != nullptr) {
+    core_.subscribe(from);
     // Confirm identity to the subscriber so its directory stays complete
     // regardless of join order.
-    lan_.unicast(endpoint_, subscribe->reply_to,
-                 net::Payload::make(proto::Announce{id_, endpoint_}, proto::kAnnounceBytes));
-    return;
-  }
-  if (const auto* cancel = message.get_if<proto::Cancel>()) {
-    handle_cancel(*cancel);
-    return;
-  }
-  if (message.get_if<proto::Announce>() != nullptr) return;  // peer replicas ignore announces
-  AQUA_LOG_WARN << "replica " << id_.value() << ": dropping unknown message type";
-}
-
-void ReplicaServer::handle_request(EndpointId from, const proto::Request& request,
-                                   const obs::SpanContext& span) {
-  // Stage 3: the server gateway enqueues the request, recording t2.
-  queue_.push_back(QueuedRequest{request, from, simulator_.now(), span});
-  if (requests_counter_ != nullptr) {
-    requests_counter_->add();
-    queue_length_gauge_->set(static_cast<double>(queue_.size()));
-  }
-  if (!busy_) start_next();
-}
-
-void ReplicaServer::handle_cancel(const proto::Cancel& cancel) {
-  // Only a request still waiting in the FIFO queue may be withdrawn. Once
-  // start_next() moved it into service the application upcall is already
-  // under way, so the cancel is a no-op and the reply goes out normally —
-  // the client-side handler simply discards the duplicate.
-  const auto it = std::find_if(queue_.begin(), queue_.end(), [&](const QueuedRequest& q) {
-    return q.request.id == cancel.request && q.request.client == cancel.client;
-  });
-  if (it == queue_.end()) {
-    ++cancels_ignored_;
-    return;
-  }
-  queue_.erase(it);
-  ++purged_;
-  if (purged_counter_ != nullptr) {
-    purged_counter_->add();
-    queue_length_gauge_->set(static_cast<double>(queue_.size()));
+    lan_.unicast(endpoint_, from,
+                 net::Payload::make(proto::Announce{id(), endpoint_}, proto::kAnnounceBytes));
+  } else if (const auto* cancel = message.get_if<proto::Cancel>()) {
+    core_.cancel(cancel->request, cancel->client);
+  } else if (message.get_if<proto::Announce>() == nullptr) {  // peers' announces are ignored
+    AQUA_LOG_WARN << "replica " << id().value() << ": dropping unknown message type";
   }
 }
 
 void ReplicaServer::start_next() {
-  AQUA_ASSERT(!busy_);
-  if (queue_.empty()) return;
-  busy_ = true;
-  busy_since_ = simulator_.now();
-  current_ = std::move(queue_.front());
-  queue_.pop_front();
+  if (!core_.start(simulator_.now())) return;
   // The gateway overhead covers demarshalling + the DII upcall; it is part
   // of the observable queuing-to-service transition, so t3 is taken after
-  // it elapses.
-  completion_ = simulator_.schedule_after(config_.gateway_overhead, [this] {
-    dequeued_at_ = simulator_.now();  // t3
-    const ServiceModel* model = service_model_.get();
-    if (auto it = config_.method_models.find(current_.request.method);
-        it != config_.method_models.end()) {
-      model = it->second.get();
-    }
-    // A coded chunk-request carries 1/code_k of the whole job's demand;
-    // plain requests (code_k == 0) take the unscaled draw. Either way the
-    // model consumes the same randomness.
-    const Duration service = model->sample_chunk(rng_, queue_.size(), current_.request.code_k);
+  // it elapses, and the draw sees the queue as it is then.
+  completion_ = simulator_.schedule_after(gateway_overhead_, [this] {
+    const Duration service = core_.begin_service(simulator_.now());
     completion_ = simulator_.schedule_after(service, [this] { finish_current(); });
   });
 }
 
 void ReplicaServer::finish_current() {
-  AQUA_ASSERT(busy_);
-  const TimePoint now = simulator_.now();
-  proto::PerfData perf;
-  perf.service_time = now - dequeued_at_;                  // t_s
-  perf.queuing_delay = dequeued_at_ - current_.enqueued_at;  // t_q = t3 - t2
-  perf.queue_length = static_cast<std::int64_t>(queue_.size());
-  ++serviced_;
-  perf.sample_seq = serviced_;
-  busy_time_ += now - busy_since_;
-  if (replies_counter_ != nullptr) {
-    replies_counter_->add();
-    service_time_histogram_->record(perf.service_time);
-    queuing_delay_histogram_->record(perf.queuing_delay);
-    queue_length_gauge_->set(static_cast<double>(queue_.size()));
-  }
-
-  proto::Reply reply;
-  reply.request = current_.request.id;
-  reply.replica = id_;
-  reply.method = current_.request.method;
-  reply.result = config_.compute(current_.request.argument);
-  if (config_.value_fault_rate > 0.0 && rng_.bernoulli(config_.value_fault_rate)) {
-    reply.result = config_.corrupt(reply.result);
-  }
-  reply.perf = perf;
-  // Echo the coding fields so the client-side collector can count this
-  // reply toward its k distinct chunks (both stay zero when uncoded).
-  reply.chunk = current_.request.chunk;
-  reply.code_id = current_.request.code_id;
-  net::Payload reply_payload = net::Payload::make(reply, proto::kReplyBytes);
-  if (span_sink_ != nullptr && current_.span.valid()) {
-    // Close the queue-wait and service spans (they are only known in
-    // full here) and hand the reply leg a fresh parent so the trace tree
-    // reads dispatch -> queue -> service -> reply leg.
-    const std::uint64_t queue_span = span_sink_->next_span_id();
-    const std::uint64_t service_span = span_sink_->next_span_id();
-    const obs::SpanContext& ctx = current_.span;
-    const ClientId client = obs::trace_client(ctx.trace_id);
-    const RequestId request_id = obs::trace_request(ctx.trace_id);
-    span_sink_->record_span({.trace_id = ctx.trace_id,
-                             .span_id = queue_span,
-                             .parent_span_id = ctx.parent_span_id,
-                             .kind = obs::SpanKind::kQueueWait,
-                             .client = client,
-                             .request = request_id,
-                             .replica = id_,
-                             .start = current_.enqueued_at,
-                             .end = dequeued_at_});
-    span_sink_->record_span({.trace_id = ctx.trace_id,
-                             .span_id = service_span,
-                             .parent_span_id = queue_span,
-                             .kind = obs::SpanKind::kService,
-                             .client = client,
-                             .request = request_id,
-                             .replica = id_,
-                             .start = dequeued_at_,
-                             .end = now});
-    reply_payload.set_span({.trace_id = ctx.trace_id,
-                            .parent_span_id = service_span,
-                            .leg = obs::SpanKind::kReplyLeg,
-                            .replica = id_});
-  }
-  lan_.unicast(endpoint_, current_.reply_to, std::move(reply_payload));
-
-  publish_perf(current_.reply_to, perf, current_.request.method);
-
-  busy_ = false;
+  ReplicaCore::Finished done = core_.finish(simulator_.now());
+  lan_.unicast(endpoint_, done.reply_to, std::move(done.reply));
+  std::erase_if(done.perf_targets,
+                [this](EndpointId subscriber) { return !lan_.endpoint_exists(subscriber); });
+  lan_.multicast(endpoint_, done.perf_targets, std::move(done.perf_update));
   start_next();
 }
 
-void ReplicaServer::publish_perf(EndpointId requester, const proto::PerfData& perf,
-                                 const std::string& method) {
-  if (subscribers_.empty()) return;
-  proto::PerfUpdate update{id_, method, perf};
-  std::vector<EndpointId> targets;
-  targets.reserve(subscribers_.size());
-  for (EndpointId sub : subscribers_) {
-    // The requester already receives the same data inside the reply.
-    if (sub != requester && lan_.endpoint_exists(sub)) targets.push_back(sub);
-  }
-  lan_.multicast(endpoint_, targets, net::Payload::make(update, proto::kPerfUpdateBytes));
+bool ReplicaServer::crash(const char* what) {
+  if (!core_.alive()) return false;
+  core_.crash();
+  completion_.cancel();
+  lan_.destroy_endpoint(endpoint_);
+  AQUA_LOG_DEBUG << "replica " << id().value() << " crashed (" << what << ") at "
+                 << to_string(simulator_.now());
+  return true;
 }
 
 void ReplicaServer::crash_process() {
-  if (!alive_) return;
-  alive_ = false;
-  completion_.cancel();
-  queue_.clear();
-  busy_ = false;
-  lan_.destroy_endpoint(endpoint_);
-  group_.report_member_failure(endpoint_);
-  if (crashes_counter_ != nullptr) crashes_counter_->add();
-  AQUA_LOG_DEBUG << "replica " << id_.value() << " crashed (process) at "
-                 << to_string(simulator_.now());
+  if (crash("process")) group_.report_member_failure(endpoint_);
 }
 
 void ReplicaServer::crash_host() {
-  if (!alive_) return;
-  alive_ = false;
-  completion_.cancel();
-  queue_.clear();
-  busy_ = false;
-  lan_.destroy_endpoint(endpoint_);
-  lan_.set_host_alive(host_, false);
-  if (crashes_counter_ != nullptr) crashes_counter_->add();
-  AQUA_LOG_DEBUG << "replica " << id_.value() << " crashed (host " << host_.value() << ") at "
-                 << to_string(simulator_.now());
+  if (crash("host")) lan_.set_host_alive(host_, false);
 }
 
 void ReplicaServer::restart() {
-  if (alive_) return;
+  if (core_.alive()) return;
   if (!lan_.host_alive(host_)) lan_.set_host_alive(host_, true);
-  alive_ = true;
-  busy_ = false;
-  queue_.clear();
-  subscribers_.clear();
-  endpoint_ = lan_.create_endpoint(
-      host_, [this](EndpointId from, const net::Payload& m) { on_receive(from, m); });
-  group_.join(endpoint_);
-  announce();
-  if (restarts_counter_ != nullptr) restarts_counter_->add();
-  AQUA_LOG_DEBUG << "replica " << id_.value() << " restarted at " << to_string(simulator_.now());
+  core_.restart();
+  open_endpoint();
+  AQUA_LOG_DEBUG << "replica " << id().value() << " restarted at " << to_string(simulator_.now());
 }
 
 }  // namespace aqua::replica

@@ -1,66 +1,25 @@
-// Server replica: server-side gateway handler + application object.
-//
-// Implements Stages 3-4 of the request path (Figure 2): the gateway
-// receives the Maestro message, enqueues it in the replica's FIFO request
-// queue recording t2, dequeues recording t3, invokes the application
-// (service-time model), and returns the reply with piggybacked
-// performance data (t_s, t_q, queue length). On every processed request
-// the replica also pushes a PerfUpdate to its subscribers (§5.4.1).
+// Server replica: the simulation driver of ReplicaCore (Stages 3-4 of
+// Figure 2). A request from the Lan is queued in the core (t2); when the
+// server frees up, the gateway overhead elapses as a simulator event,
+// then the core stamps t3 and draws the service time, and at its end the
+// reply goes back with piggybacked performance data (t_s, t_q, queue
+// length) and a PerfUpdate to every other live subscriber (§5.4.1). This
+// driver adds the Lan endpoint, the group join and Announce, and crashes
+// of the process or its host.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
-#include <string>
-#include <vector>
 
 #include "common/ids.h"
 #include "common/rng.h"
 #include "common/time.h"
 #include "net/group.h"
 #include "net/lan.h"
-#include "obs/span.h"
-#include "proto/messages.h"
+#include "replica/replica_core.h"
 #include "replica/service_model.h"
 #include "sim/simulator.h"
 
-namespace aqua::obs {
-class Counter;
-class Gauge;
-class Histogram;
-class Telemetry;
-}  // namespace aqua::obs
-
 namespace aqua::replica {
-
-struct ReplicaConfig {
-  /// Server-gateway processing per message direction (demarshalling and
-  /// the CORBA dynamic-invocation upcall).
-  Duration gateway_overhead = usec(150);
-  /// Application function applied to the request argument; the default
-  /// echoes it (the paper's servers "responded with an integer data").
-  std::function<std::int64_t(std::int64_t)> compute = [](std::int64_t x) { return x; };
-  /// §8 extension: per-method service models for servers that "export
-  /// multiple service interfaces". Methods not listed fall back to the
-  /// replica's default model.
-  std::map<std::string, ServiceModelPtr> method_models;
-
-  /// Value-fault injection: probability that a reply carries a corrupted
-  /// result ([16]'s fault class; the active voting handler masks these,
-  /// the timing fault handler deliberately does not).
-  double value_fault_rate = 0.0;
-  /// How a corrupted result is derived from the correct one.
-  std::function<std::int64_t(std::int64_t)> corrupt = [](std::int64_t x) { return ~x; };
-
-  /// Optional telemetry hub (non-owning, must outlive the replica).
-  /// Counters replica.requests / replica.replies / replica.crashes /
-  /// replica.restarts, histograms replica.service_time_us /
-  /// replica.queuing_delay_us, and the per-replica gauge
-  /// replica.<id>.queue_length. Null keeps every instrumented site at
-  /// one branch.
-  obs::Telemetry* telemetry = nullptr;
-};
 
 class ReplicaServer {
  public:
@@ -72,29 +31,20 @@ class ReplicaServer {
   ReplicaServer(const ReplicaServer&) = delete;
   ReplicaServer& operator=(const ReplicaServer&) = delete;
 
-  [[nodiscard]] ReplicaId id() const { return id_; }
+  [[nodiscard]] ReplicaId id() const { return core_.id(); }
   [[nodiscard]] HostId host() const { return host_; }
   [[nodiscard]] EndpointId endpoint() const { return endpoint_; }
-  [[nodiscard]] bool alive() const { return alive_; }
+  [[nodiscard]] bool alive() const { return core_.alive(); }
 
-  /// Requests waiting in the FIFO queue (excludes the one in service).
-  [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
-  [[nodiscard]] bool busy() const { return busy_; }
-
-  /// Total requests fully serviced.
-  [[nodiscard]] std::uint64_t serviced_requests() const { return serviced_; }
-
-  /// Cancels that removed a still-queued request before it reached the
-  /// application (reclaimed work) vs. cancels that arrived too late (the
-  /// request was already in service, already answered, or never seen).
-  [[nodiscard]] std::uint64_t purged_requests() const { return purged_; }
-  [[nodiscard]] std::uint64_t cancels_ignored() const { return cancels_ignored_; }
-
-  /// Cumulative wall-clock this replica spent busy (gateway overhead +
-  /// application service), summed over completed requests. The bench's
-  /// "replica time consumed" metric: redundant dispatch inflates it,
+  /// The core's counters (see ReplicaCore). total_busy_time() includes
+  /// the gateway overhead: redundant dispatch inflates it, and
   /// cancel-on-first-reply reclaims the share that was still queued.
-  [[nodiscard]] Duration total_busy_time() const { return busy_time_; }
+  [[nodiscard]] std::size_t queue_length() const { return core_.queue_length(); }
+  [[nodiscard]] bool busy() const { return core_.busy(); }
+  [[nodiscard]] std::uint64_t serviced_requests() const { return core_.serviced(); }
+  [[nodiscard]] std::uint64_t purged_requests() const { return core_.purged(); }
+  [[nodiscard]] std::uint64_t cancels_ignored() const { return core_.cancels_ignored(); }
+  [[nodiscard]] Duration total_busy_time() const { return core_.busy_time(); }
 
   /// Crash this replica process only: the queue is lost, the in-service
   /// request never replies, and the group excludes the member after the
@@ -110,56 +60,20 @@ class ReplicaServer {
   void restart();
 
  private:
+  void open_endpoint();
+  bool crash(const char* what);
   void on_receive(EndpointId from, const net::Payload& message);
-  void announce();
-  void handle_request(EndpointId from, const proto::Request& request,
-                      const obs::SpanContext& span);
-  void handle_cancel(const proto::Cancel& cancel);
   void start_next();
   void finish_current();
-  void publish_perf(EndpointId requester, const proto::PerfData& perf, const std::string& method);
-
-  struct QueuedRequest {
-    proto::Request request;
-    EndpointId reply_to;
-    TimePoint enqueued_at;  // t2
-    obs::SpanContext span{};  ///< trace stamp carried in from the wire
-  };
 
   sim::Simulator& simulator_;
   net::Lan& lan_;
   net::MulticastGroup& group_;
-  ReplicaId id_;
   HostId host_;
-  ServiceModelPtr service_model_;
-  Rng rng_;
-  ReplicaConfig config_;
-
+  Duration gateway_overhead_;
+  ReplicaCore core_;
   EndpointId endpoint_;
-  bool alive_ = true;
-  std::deque<QueuedRequest> queue_;
-  bool busy_ = false;
-  QueuedRequest current_{};
-  TimePoint dequeued_at_{};  // t3 for the in-service request
   sim::EventHandle completion_;
-  TimePoint busy_since_{};   // when the in-service request left the queue
-  std::vector<EndpointId> subscribers_;
-  std::uint64_t serviced_ = 0;
-  std::uint64_t purged_ = 0;
-  std::uint64_t cancels_ignored_ = 0;
-  Duration busy_time_ = Duration::zero();
-
-  /// Null unless telemetry is attached (one-branch discipline).
-  obs::Counter* requests_counter_ = nullptr;
-  obs::Counter* replies_counter_ = nullptr;
-  obs::Counter* crashes_counter_ = nullptr;
-  obs::Counter* restarts_counter_ = nullptr;
-  obs::Counter* purged_counter_ = nullptr;
-  obs::Histogram* service_time_histogram_ = nullptr;
-  obs::Histogram* queuing_delay_histogram_ = nullptr;
-  obs::Gauge* queue_length_gauge_ = nullptr;
-  /// Non-null only when telemetry is attached and spans are enabled.
-  obs::Telemetry* span_sink_ = nullptr;
 };
 
 }  // namespace aqua::replica

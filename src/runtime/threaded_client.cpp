@@ -1,7 +1,6 @@
 #include "runtime/threaded_client.h"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <variant>
 
@@ -32,16 +31,13 @@ core::EngineConfig engine_config(const ThreadedClientConfig& config) {
   return engine;
 }
 
-std::chrono::steady_clock::time_point to_steady(TimePoint t) {
-  return std::chrono::steady_clock::time_point{
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(t.time_since_epoch())};
-}
-
 }  // namespace
 
 struct ThreadedClient::Waiter {
   std::condition_variable cv;
   bool delivered = false;
+  /// The engine retired the request undelivered: nothing can deliver it.
+  bool dropped = false;
   core::ReplyInfo info;
   /// The record as of delivery, else as of the outcome (the deadline).
   core::RequestRecord record;
@@ -128,13 +124,22 @@ void ThreadedClient::apply(core::Actions& actions, Outbox& out) {
       out.wake.push_back(it->second);
     } else if (auto* outcome = std::get_if<core::Outcome>(&action)) {
       auto it = waiters_.find(outcome->record.request);
-      if (it != waiters_.end()) it->second->record = outcome->record;
+      if (it == waiters_.end()) continue;
+      it->second->record = outcome->record;
+      // Failed fast (a split vote, a coded request left short): decided
+      // undelivered and already retired, so the caller need not wait out
+      // its give-up bound. A request decided at its deadline that is still
+      // live keeps its caller waiting for a late reply.
+      if (!outcome->record.response_time &&
+          engine_.find_record(outcome->record.request) == nullptr) {
+        it->second->dropped = true;
+        out.wake.push_back(it->second);
+      }
     } else if (std::holds_alternative<core::SendRequest>(action) ||
-               std::holds_alternative<core::SendCancel>(action)) {
+               std::holds_alternative<core::SendCancel>(action) ||
+               std::holds_alternative<core::SendSubscribe>(action)) {
       out.sends.push_back(std::move(action));
     }
-    // SendSubscribe: a threaded replica answers every Subscribe with an
-    // Announce and keeps no subscriber list, so there is nothing to ask.
     // QosViolation: the engine's alert is the threaded runtime's signal.
   }
 }
@@ -183,6 +188,9 @@ void ThreadedClient::flush(Outbox& out) {
     } else if (auto* cancel = std::get_if<core::SendCancel>(&action)) {
       transport_->multicast(endpoint_, cancel->targets,
                             net::Payload::make(cancel->cancel, proto::kCancelBytes));
+    } else if (auto* subscribe = std::get_if<core::SendSubscribe>(&action)) {
+      // The replica pushes its PerfUpdates for other clients' requests.
+      subscribe_to(subscribe->target);
     }
   }
   for (const std::shared_ptr<Waiter>& waiter : out.wake) waiter->cv.notify_one();
@@ -257,7 +265,7 @@ ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
       lock.lock();
       continue;
     }
-    if (waiter->delivered || steady_now() >= give_up) break;
+    if (waiter->delivered || waiter->dropped || steady_now() >= give_up) break;
     TimePoint wake = give_up;
     if (!wake_timers_.empty()) wake = std::min(wake, wake_timers_.begin()->first.first);
     waiter->cv.wait_until(lock, to_steady(wake));

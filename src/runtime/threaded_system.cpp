@@ -36,12 +36,16 @@ ThreadedSystem::~ThreadedSystem() {
   clients_.clear();
 }
 
-ThreadedReplica& ThreadedSystem::add_replica(stats::SamplerPtr service_time) {
+ThreadedReplica& ThreadedSystem::add_replica(stats::SamplerPtr service_time,
+                                             replica::ReplicaConfig config) {
   const ReplicaId id = replica_ids_.next();
-  // One host per replica, so transport liveness maps 1:1 to replicas.
+  if (config.telemetry == nullptr) config.telemetry = config_.telemetry;
+  // One host per replica, so transport liveness maps 1:1 to replicas. A
+  // sampled model's draw ignores the queue length: the sampler's stream.
   replicas_.push_back(std::make_unique<ThreadedReplica>(
-      id, std::move(service_time), rng_.fork("replica").fork(id.value()), *config_.transport,
-      HostId{id.value()}, config_.telemetry));
+      id, replica::make_sampled_service(std::move(service_time)),
+      rng_.fork("replica").fork(id.value()), *config_.transport, HostId{id.value()},
+      std::move(config)));
   return *replicas_.back();
 }
 

@@ -67,7 +67,9 @@ class ThreadedSystem {
   ThreadedSystem& operator=(const ThreadedSystem&) = delete;
 
   /// Add a replica worker thread with the given service-time sampler.
-  ThreadedReplica& add_replica(stats::SamplerPtr service_time);
+  /// `config.telemetry` defaults to the system's hub.
+  ThreadedReplica& add_replica(stats::SamplerPtr service_time,
+                               replica::ReplicaConfig config = {});
 
   /// Add a client over all replicas added SO FAR (each on its own host,
   /// so transport liveness maps 1:1 to replicas).

@@ -76,8 +76,9 @@ TEST(MidflightCrashThreadedTest, SubmitToCrashedReplicaFailsAndQueuedWorkNeverRe
       HostId{2}, [&](EndpointId, const net::Payload& message) {
         if (message.get_if<proto::Reply>() != nullptr) ++replies;
       });
-  runtime::ThreadedReplica replica{ReplicaId{1}, stats::make_constant(msec(50)), Rng{1},
-                                   transport, HostId{1}};
+  runtime::ThreadedReplica replica{ReplicaId{1},
+                                   replica::make_sampled_service(stats::make_constant(msec(50))),
+                                   Rng{1}, transport, HostId{1}};
 
   proto::Request request;
   request.id = RequestId{1};

@@ -255,13 +255,15 @@ TEST(FleetStitchTest, StitchesGatewayAndReplicaHubsOverUdp) {
   Telemetry replica_telemetry;
   net::UdpTransport replica_transport{udp_config};
   replica_transport.set_telemetry(&replica_telemetry);
+  replica::ReplicaConfig replica_config;
+  replica_config.telemetry = &replica_telemetry;
   runtime::ThreadedReplica replica{
-      ReplicaId{1}, stats::make_constant(msec(2)), Rng{11}.fork("replica").fork(1),
-      replica_transport,
+      ReplicaId{1}, replica::make_sampled_service(stats::make_constant(msec(2))),
+      Rng{11}.fork("replica").fork(1), replica_transport,
       [&replica_transport](net::ReceiveFn fn) {
         return replica_transport.create_endpoint_on(HostId{1}, 0, std::move(fn));
       },
-      &replica_telemetry};
+      replica_config};
   ScrapeServer replica_scrape{replica_telemetry, 0};
 
   // Gateway "process": its own hub and transport, pointed at the peer.
@@ -308,7 +310,7 @@ TEST(FleetStitchTest, StitchesGatewayAndReplicaHubsOverUdp) {
   }
   EXPECT_TRUE(replica_has_queue);
   EXPECT_TRUE(replica_has_service);
-  EXPECT_EQ(snapshot.counters.at("replica_endpoint.replies"), replica.serviced());
+  EXPECT_EQ(snapshot.counters.at("replica.replies"), replica.serviced());
 
   // Loss-free loopback: every answered request stitches end-to-end.
   EXPECT_EQ(snapshot.traces_answered, answered);

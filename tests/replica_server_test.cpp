@@ -166,6 +166,27 @@ TEST_F(ReplicaServerTest, DuplicateSubscriptionsDoNotDuplicateUpdates) {
   EXPECT_EQ(client(0).updates.size(), 1u);
 }
 
+TEST_F(ReplicaServerTest, CancelPurgesEveryQueuedCopy) {
+  // A redispatch can re-select a replica that still holds a queued copy
+  // of the same request; the cancel must reclaim both copies.
+  ReplicaServer replica{sim_,  lan_,        group_, ReplicaId{1}, HostId{10},
+                        make_sampled_service(stats::make_constant(msec(50))), Rng{2}};
+  auto c = make_client(50);
+  send_request(c, replica, 1);  // occupies the server
+  send_request(c, replica, 2);
+  send_request(c, replica, 2);
+  sim_.run_for(msec(10));
+  ASSERT_EQ(replica.queue_length(), 2u);
+  lan_.unicast(c.endpoint, replica.endpoint(),
+               net::Payload::make(proto::Cancel{RequestId{2}, ClientId{1}, "invoke"},
+                                  proto::kCancelBytes));
+  sim_.run_for(sec(1));
+  EXPECT_EQ(replica.purged_requests(), 2u);
+  EXPECT_EQ(replica.cancels_ignored(), 0u);
+  ASSERT_EQ(client(0).replies.size(), 1u);
+  EXPECT_EQ(client(0).replies[0].request, RequestId{1});
+}
+
 TEST_F(ReplicaServerTest, CustomComputeFunction) {
   ReplicaConfig cfg;
   cfg.compute = [](std::int64_t x) { return x * x; };

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "obs/telemetry.h"
-#include "runtime/blocking_queue.h"
 #include "runtime/delayed_executor.h"
 #include "runtime/local_transport.h"
 #include "runtime/threaded_system.h"
@@ -41,65 +40,6 @@ bool wait_until(const std::function<bool()>& pred) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return pred();
-}
-
-TEST(BlockingQueueTest, PushPopSingleThread) {
-  BlockingQueue<int> q;
-  q.push(1);
-  q.push(2);
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-}
-
-TEST(BlockingQueueTest, CloseUnblocksPop) {
-  BlockingQueue<int> q;
-  std::atomic<bool> returned{false};
-  std::thread t([&] {
-    EXPECT_EQ(q.pop(), std::nullopt);
-    returned.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  t.join();
-  EXPECT_TRUE(returned.load());
-}
-
-TEST(BlockingQueueTest, CloseRejectsNewPushesButDrainsExisting) {
-  BlockingQueue<int> q;
-  q.push(1);
-  q.close();
-  EXPECT_FALSE(q.push(2));
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BlockingQueueTest, CloseAndDrainDiscards) {
-  BlockingQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.close_and_drain();
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BlockingQueueTest, ManyProducersOneConsumer) {
-  BlockingQueue<int> q;
-  constexpr int kPerProducer = 200;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&q] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(i);
-    });
-  }
-  int consumed = 0;
-  std::thread consumer([&] {
-    while (consumed < 4 * kPerProducer) {
-      if (q.pop()) ++consumed;
-    }
-  });
-  for (auto& t : producers) t.join();
-  consumer.join();
-  EXPECT_EQ(consumed, 4 * kPerProducer);
 }
 
 TEST(DelayedExecutorTest, RunsTaskAfterDelay) {
@@ -188,7 +128,9 @@ TEST(ThreadedReplicaTest, ServicesAndReportsPerf) {
     captured = reply;
     got = true;
   }));
-  ThreadedReplica replica{ReplicaId{1}, stats::make_constant(msec(5)), Rng{1}, transport, HostId{1}};
+  ThreadedReplica replica{ReplicaId{1},
+                          replica::make_sampled_service(stats::make_constant(msec(5))), Rng{1},
+                          transport, HostId{1}};
   proto::Request request{RequestId{1}, ClientId{1}, "invoke", 42};
   ASSERT_TRUE(replica.submit(request, client));
   for (int i = 0; i < 100 && !got; ++i) std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -205,7 +147,9 @@ TEST(ThreadedReplicaTest, CrashStopsService) {
   LocalTransport transport{no_delay(), Rng{9}};
   const EndpointId client =
       transport.create_endpoint(HostId{2}, on_reply([&](const proto::Reply&) { ++replies; }));
-  ThreadedReplica replica{ReplicaId{1}, stats::make_constant(msec(50)), Rng{1}, transport, HostId{1}};
+  ThreadedReplica replica{ReplicaId{1},
+                          replica::make_sampled_service(stats::make_constant(msec(50))), Rng{1},
+                          transport, HostId{1}};
   proto::Request request{RequestId{1}, ClientId{1}, "invoke", 0};
   replica.submit(request, client);
   replica.crash();
@@ -229,7 +173,9 @@ TEST(ThreadedReplicaTest, ServiceTimeIsTheDraw) {
     service.push_back(reply.perf.service_time);
     done.notify_one();
   }));
-  ThreadedReplica replica{ReplicaId{1}, stats::make_constant(draw), Rng{1}, transport, HostId{1}};
+  ThreadedReplica replica{ReplicaId{1},
+                          replica::make_sampled_service(stats::make_constant(draw)), Rng{1},
+                          transport, HostId{1}};
   for (std::size_t i = 0; i < kJobs; ++i) {
     const proto::Request request{RequestId{i + 1}, ClientId{1}, "invoke", 0};
     ASSERT_TRUE(replica.submit(request, client));
@@ -254,7 +200,9 @@ TEST(ThreadedReplicaTest, EndpointServesRequestCancelAndSubscribe) {
           announces.push_back(*announce);
         }
       });
-  ThreadedReplica replica{ReplicaId{4}, stats::make_constant(msec(100)), Rng{1}, transport, HostId{1}};
+  ThreadedReplica replica{ReplicaId{4},
+                          replica::make_sampled_service(stats::make_constant(msec(100))), Rng{1},
+                          transport, HostId{1}};
   auto send = [&](auto body) {
     transport.unicast(client, replica.endpoint(), net::Payload::make(body, 64));
   };
@@ -278,6 +226,83 @@ TEST(ThreadedReplicaTest, EndpointServesRequestCancelAndSubscribe) {
   EXPECT_EQ(replica.purged(), 1u);
   EXPECT_EQ(announces[0].replica, ReplicaId{4});
   EXPECT_EQ(announces[0].endpoint, replica.endpoint());
+}
+
+TEST(ThreadedReplicaTest, CrashDrainsTheQueue) {
+  std::atomic<int> replies{0};
+  LocalTransport transport{no_delay(), Rng{9}};
+  const EndpointId client =
+      transport.create_endpoint(HostId{2}, on_reply([&](const proto::Reply&) { ++replies; }));
+  ThreadedReplica replica{ReplicaId{1},
+                          replica::make_sampled_service(stats::make_constant(msec(50))), Rng{1},
+                          transport, HostId{1}};
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(replica.submit(proto::Request{RequestId{i}, ClientId{1}, "invoke", 0}, client));
+  }
+  ASSERT_TRUE(wait_until([&] { return replica.queue_length() == 2; }));
+  replica.crash();
+  EXPECT_EQ(replica.queue_length(), 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  EXPECT_EQ(replies.load(), 0);
+  EXPECT_EQ(replica.serviced(), 0u);
+}
+
+TEST(ThreadedReplicaTest, ShutdownUnblocksTheWorker) {
+  // Destruction wakes a worker blocked on an empty queue, and one
+  // sleeping through a service, without waiting for queued work.
+  LocalTransport transport{no_delay(), Rng{9}};
+  for (const bool loaded : {false, true}) {
+    auto replica = std::make_unique<ThreadedReplica>(
+        ReplicaId{1}, replica::make_sampled_service(stats::make_constant(msec(100))), Rng{1},
+        transport, HostId{1});
+    if (loaded) {
+      for (std::uint64_t i = 1; i <= 3; ++i) {
+        ASSERT_TRUE(replica->submit(proto::Request{RequestId{i}, ClientId{1}, "invoke", 0}));
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const auto start = std::chrono::steady_clock::now();
+    replica.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(250)) << loaded;
+  }
+}
+
+TEST(ThreadedReplicaTest, ManyProducersOneWorker) {
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 200;
+  std::mutex m;
+  std::vector<std::uint64_t> seqs;
+  LocalTransport transport{no_delay(), Rng{9}};
+  const EndpointId client =
+      transport.create_endpoint(HostId{2}, on_reply([&](const proto::Reply& reply) {
+        std::lock_guard lock(m);
+        seqs.push_back(reply.perf.sample_seq);
+      }));
+  ThreadedReplica replica{ReplicaId{1},
+                          replica::make_sampled_service(stats::make_constant(Duration::zero())),
+                          Rng{1}, transport, HostId{1}};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const auto id = static_cast<std::uint64_t>(p * kPerProducer + i + 1);
+        const proto::Request request{RequestId{id}, ClientId{1}, "invoke", 0};
+        EXPECT_TRUE(replica.submit(request, client));
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  constexpr std::size_t kTotal = kProducers * kPerProducer;
+  ASSERT_TRUE(wait_until([&] {
+    std::lock_guard lock(m);
+    return seqs.size() == kTotal;
+  }));
+  EXPECT_EQ(replica.serviced(), kTotal);
+  // One worker numbers its samples 1..n; replies may overtake each other
+  // on the way back.
+  std::lock_guard lock(m);
+  std::sort(seqs.begin(), seqs.end());
+  for (std::size_t i = 0; i < kTotal; ++i) ASSERT_EQ(seqs[i], i + 1);
 }
 
 class ThreadedClientTest : public ::testing::Test {
@@ -454,6 +479,44 @@ TEST_F(ThreadedClientTest, QosRenegotiationIsAlertedAndClearsTheViolationEdge) {
   std::vector<std::string> kinds;
   for (const obs::AlertEvent& alert : telemetry.alerts()) kinds.emplace_back(obs::to_string(alert.kind));
   EXPECT_EQ(kinds, (std::vector<std::string>{"qos_violation", "qos_renegotiated"}));
+}
+
+TEST_F(ThreadedClientTest, OtherClientsRepliesReachTheRepositoryAsPerfUpdates) {
+  // §5.4.1: a replica pushes the data of every reply to its other
+  // subscribers, so client B learns the replicas from A's traffic alone.
+  ThreadedSystem system{fast_config()};
+  system.add_replica(stats::make_constant(msec(2)));
+  system.add_replica(stats::make_constant(msec(3)));
+  ThreadedClient& a = system.add_client(core::QosSpec{msec(100), 0.0});
+  ThreadedClient& b = system.add_client(core::QosSpec{msec(100), 0.0});
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(a.invoke(i).answered);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // the pushes are one hop behind
+  const auto outcome = b.invoke(7);
+  EXPECT_TRUE(outcome.answered);
+  EXPECT_FALSE(outcome.cold_start);
+}
+
+TEST_F(ThreadedClientTest, SplitVoteReturnsUnansweredWithoutWaitingOutTheGiveUpBound) {
+  // Two replicas that disagree can never form a majority: the engine
+  // fails the request at its last reply, and invoke() returns then.
+  ThreadedSystemConfig cfg = fast_config();
+  cfg.client.dispatch.completion = core::CompletionSpec::majority_value();
+  ThreadedSystem system{cfg};
+  system.add_replica(stats::make_constant(msec(2)));
+  replica::ReplicaConfig faulty;
+  faulty.value_fault_rate = 1.0;
+  system.add_replica(stats::make_constant(msec(2)), faulty);
+  const Duration deadline = msec(500);
+  ThreadedClient& client = system.add_client(core::QosSpec{deadline, 0.0});
+  // The cold start reaches everyone but is never voted (first reply wins).
+  ASSERT_TRUE(client.invoke(1).cold_start);
+  const auto start = std::chrono::steady_clock::now();
+  const auto outcome = client.invoke(7);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(outcome.answered);
+  EXPECT_EQ(outcome.redundancy, 2u);  // crash tolerance 1 keeps both in K
+  // The give-up bound is 4 deadlines (2 s); the vote splits after ~2 ms.
+  EXPECT_LT(elapsed, std::chrono::microseconds(deadline.count()));
 }
 
 }  // namespace

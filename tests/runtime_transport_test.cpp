@@ -86,6 +86,45 @@ TEST(RuntimeTransportTest, SequentialInvokesPiggybackTheirAcks) {
   EXPECT_LE(static_cast<double>(acks), 0.25 * kInvokes);
 }
 
+TEST(RuntimeTransportTest, ALoneClientIsSentNoPerfUpdates) {
+  // The client subscribes to every replica, but a replica knows its one
+  // subscriber as the sender of the requests too: each reply goes out
+  // alone, and a copy costs one request and one reply message.
+  net::UdpTransport udp{fast_udp()};
+  ThreadedSystemConfig cfg;
+  cfg.transport = &udp;
+  ThreadedSystem system{cfg};
+  for (int i = 0; i < 3; ++i) system.add_replica(stats::make_constant(usec(200)));
+  ThreadedClient& client = system.add_client(core::QosSpec{msec(100), 0.5});
+  std::uint64_t copies = 0;
+  auto serviced = [&] {
+    std::uint64_t n = 0;
+    for (auto* replica : system.replicas()) n += replica->serviced();
+    return n;
+  };
+  // Settle: every copy answered and sent, the Subscribe/Announce
+  // handshake long done.
+  auto settle = [&] {
+    EXPECT_TRUE(wait_for([&] { return serviced() == copies; }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  };
+  for (int i = 0; i < 5; ++i) {
+    const auto outcome = client.invoke(i);
+    ASSERT_TRUE(outcome.answered);
+    copies += outcome.redundancy;
+  }
+  settle();
+  const std::uint64_t before = udp.messages_sent();
+  const std::uint64_t copies_before = copies;
+  for (int i = 0; i < 40; ++i) {
+    const auto outcome = client.invoke(i);
+    ASSERT_TRUE(outcome.answered);
+    copies += outcome.redundancy;
+  }
+  settle();
+  EXPECT_EQ(udp.messages_sent() - before, 2 * (copies - copies_before));
+}
+
 TEST(RuntimeTransportTest, TelemetryCountsUdpTrafficUnderLanNames) {
   obs::Telemetry telemetry;
   net::UdpTransport udp{fast_udp()};
@@ -171,9 +210,12 @@ TEST(RuntimeTransportTest, HostEvictionOfAllOfKRedispatchesWellBeforeGiveUp) {
   // replicas meeting the deadline, K is replica 1 alone (the id tiebreak).
   net::UdpTransport udp{fast_udp()};
   net::UdpTransport doomed_udp{fast_udp()};
-  auto doomed = std::make_unique<ThreadedReplica>(ReplicaId{1}, stats::make_constant(msec(1)),
-                                                  Rng{1}, doomed_udp, HostId{1});
-  ThreadedReplica survivor{ReplicaId{2}, stats::make_constant(msec(2)), Rng{2}, udp, HostId{2}};
+  auto doomed = std::make_unique<ThreadedReplica>(
+      ReplicaId{1}, replica::make_sampled_service(stats::make_constant(msec(1))), Rng{1},
+      doomed_udp, HostId{1});
+  ThreadedReplica survivor{ReplicaId{2},
+                           replica::make_sampled_service(stats::make_constant(msec(2))), Rng{2},
+                           udp, HostId{2}};
 
   ThreadedClientConfig client_cfg;
   client_cfg.id = ClientId{61};

@@ -344,13 +344,15 @@ int run_udp_replica(const Options& opt) {
   }
 
   const stats::SamplerPtr service = make_service_sampler(opt);
+  replica::ReplicaConfig replica_config;
+  replica_config.telemetry = telemetry.get();
   runtime::ThreadedReplica replica{
-      ReplicaId{opt.replica_id}, service, Rng{opt.seed}.fork("replica").fork(opt.replica_id),
-      transport,
+      ReplicaId{opt.replica_id}, replica::make_sampled_service(service),
+      Rng{opt.seed}.fork("replica").fork(opt.replica_id), transport,
       [&transport, &opt, port = port](net::ReceiveFn fn) {
         return transport.create_endpoint_on(HostId{opt.replica_id}, port, std::move(fn));
       },
-      telemetry.get()};
+      replica_config};
   std::unique_ptr<obs::ScrapeServer> scrape;
   if (telemetry != nullptr) {
     scrape = std::make_unique<obs::ScrapeServer>(*telemetry,

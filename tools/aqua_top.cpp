@@ -332,14 +332,19 @@ void draw_fleet(const Options& opt, FleetCollector& collector, bool clear) {
       const auto it = node.data.counters.find(name);
       return it == node.data.counters.end() ? -1 : static_cast<long long>(it->second);
     };
-    if (const long long requests = counter("replica_endpoint.requests"); requests >= 0) {
+    if (const long long requests = counter("replica.requests"); requests >= 0) {
       std::snprintf(line, sizeof line,
                     "          requests %lld, replies %lld, rejected %lld, queue %.0f\n",
-                    requests, counter("replica_endpoint.replies"),
-                    counter("replica_endpoint.rejected"),
+                    requests, counter("replica.replies"), counter("replica.rejected"),
                     [&node] {
-                      const auto it = node.data.gauges.find("replica_endpoint.queue_length");
-                      return it == node.data.gauges.end() ? 0.0 : it->second;
+                      // One replica.<id>.queue_length gauge per replica on the hub.
+                      double queued = 0.0;
+                      for (const auto& [name, value] : node.data.gauges) {
+                        if (name.starts_with("replica.") && name.ends_with(".queue_length")) {
+                          queued += value;
+                        }
+                      }
+                      return queued;
                     }());
       frame << line;
     }

@@ -221,18 +221,18 @@ grep -o '"completeness":[0-9.]*' "${FLEET_JSON}" | head -1 |
   awk -F: '{exit !($2 >= 0.95)}' ||
   { echo "FAIL: stitch completeness below 0.95"; exit 1; }
 # Merged fleet counter == sum of the replicas' own raw /metrics totals.
-MERGED_REQUESTS="$(grep -o '"replica_endpoint.requests":[0-9]*' "${FLEET_JSON}" |
+MERGED_REQUESTS="$(grep -o '"replica\.requests":[0-9]*' "${FLEET_JSON}" |
   head -1 | cut -d: -f2)"
 NODE_SUM=0
 for FLEET_PORT in "${FLEET_SCRAPE_A}" "${FLEET_SCRAPE_B}"; do
   NODE_BODY="$(exec 3<>"/dev/tcp/127.0.0.1/${FLEET_PORT}" &&
     printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3 && cat <&3 && exec 3<&-)"
   NODE_VALUE="$(printf '%s\n' "${NODE_BODY}" |
-    awk '/^aqua_replica_endpoint_requests /{print int($2)}')"
+    awk '/^aqua_replica_requests /{print int($2)}')"
   NODE_SUM=$((NODE_SUM + NODE_VALUE))
 done
 [ "${MERGED_REQUESTS}" -eq "${NODE_SUM}" ] ||
-  { echo "FAIL: merged replica_endpoint.requests=${MERGED_REQUESTS}, node sum=${NODE_SUM}"; exit 1; }
+  { echo "FAIL: merged replica.requests=${MERGED_REQUESTS}, node sum=${NODE_SUM}"; exit 1; }
 wait "${FLEET_GATEWAY}"
 kill "${FLEET_REPLICA_A}" "${FLEET_REPLICA_B}" 2>/dev/null || true
 
@@ -246,9 +246,9 @@ ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L fault
 step "Telemetry tier: ctest -L obs (TSan)"
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L obs
 
-step "Transport conformance + UDP runtime + threaded client (TSan)"
+step "Transport conformance + UDP runtime + threaded client and replica (TSan)"
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-  -R 'SimConformance|UdpConformance|LocalConformance|RuntimeTransportTest|UdpRegressionTest|ThreadedClientTest'
+  -R 'SimConformance|UdpConformance|LocalConformance|RuntimeTransportTest|UdpRegressionTest|ThreadedClientTest|ThreadedReplicaTest|ReplicaCore'
 
 step "Configure + build: AddressSanitizer + UndefinedBehaviorSanitizer (build-asan/)"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DENABLE_ASAN=ON -DENABLE_UBSAN=ON \
