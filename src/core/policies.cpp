@@ -351,9 +351,12 @@ DispatchPlan plan_dispatch(const DispatchConfig& config, const SelectionResult& 
                            const ResponseTimeModel& model) {
   DispatchPlan plan;
   plan.primary = selection.selected;
-  if (plan.primary.size() <= 1 || selection.cold_start) return plan;
+  // Cold-start and one-member plans go out whole: never trimmed, coded or
+  // hedged. Their completion predicate is armed all the same, or a vote
+  // or quorum would take the first cold-start reply as the answer.
+  const bool split = plan.primary.size() > 1 && !selection.cold_start;
 
-  if (config.adaptive_redundancy) {
+  if (split && config.adaptive_redundancy) {
     // Overload signal: mean piggybacked queue length across every LIVE
     // replica with history. When all queues are deep, each extra copy
     // of the request mostly adds queueing, not tail protection — trim
@@ -388,15 +391,20 @@ DispatchPlan plan_dispatch(const DispatchConfig& config, const SelectionResult& 
     // only engages for k-of-n — a quorum or a vote reads whole requests,
     // so its copies stay uncoded.
     CompletionSpec spec = config.completion;
-    spec.k = spec.kind == CompletionKind::kMajorityValue
-                 ? plan.primary.size() / 2 + 1
-                 : std::clamp<std::size_t>(spec.k, 1, plan.primary.size());
-    plan.completion = spec;
+    const std::size_t sent = std::max<std::size_t>(plan.primary.size(), 1);
+    spec.k = spec.kind == CompletionKind::kMajorityValue ? plan.primary.size() / 2 + 1
+                                                         : std::clamp<std::size_t>(spec.k, 1, sent);
     if (spec.kind == CompletionKind::kKOfN) {
-      plan.coded = true;
-      plan.code_k = static_cast<std::uint32_t>(spec.k);
+      if (split) {
+        plan.coded = true;
+        plan.code_k = static_cast<std::uint32_t>(spec.k);
+      } else {
+        spec.k = 1;  // uncoded copies each carry the whole result
+      }
     }
+    plan.completion = spec;
   }
+  if (!split) return plan;
 
   // A coded plan must keep at least k members in the primary wave —
   // hedging below k would guarantee the hedge timer fires every time.

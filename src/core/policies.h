@@ -166,8 +166,10 @@ struct DispatchPlan {
 /// Split the selected set into the transmission schedule. With the
 /// default config this is the identity plan (primary = K, no model
 /// evaluation, no extra randomness), so the paper-policy path is
-/// bit-identical. Cold-start selections are never hedged or trimmed:
-/// bootstrap traffic must reach everyone.
+/// bit-identical. Cold-start selections are never hedged, trimmed or
+/// coded: bootstrap traffic must reach everyone, whole. Their completion
+/// predicate is armed like any other's (a k-of-n one needs one of the
+/// whole copies).
 [[nodiscard]] DispatchPlan plan_dispatch(const DispatchConfig& config,
                                          const SelectionResult& selection,
                                          std::span<const ReplicaObservation> observations,

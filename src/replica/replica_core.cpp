@@ -27,6 +27,7 @@ ReplicaCore::ReplicaCore(ReplicaId id, ServiceModelPtr service_model, Rng rng,
     restarts_counter_ = &metrics.counter("replica.restarts");
     service_time_histogram_ = &metrics.histogram("replica.service_time_us");
     queuing_delay_histogram_ = &metrics.histogram("replica.queuing_delay_us");
+    reply_lag_histogram_ = &metrics.histogram("replica.reply_lag_us");
     queue_length_gauge_ =
         &metrics.gauge("replica." + std::to_string(id_.value()) + ".queue_length");
     if (config_.telemetry->spans_enabled()) span_sink_ = config_.telemetry;
@@ -73,18 +74,34 @@ void ReplicaCore::subscribe(EndpointId subscriber) {
   }
 }
 
-bool ReplicaCore::start(TimePoint now) {
-  if (busy_ || queue_.empty()) return false;
-  busy_ = true;
-  started_at_ = now;
-  current_ = std::move(queue_.front());
-  queue_.pop_front();
-  return true;
+std::size_t ReplicaCore::queued_by(TimePoint t) const {
+  // The queue is in t2 order (admit), and usually all of it is in.
+  if (queue_.empty() || queue_.back().enqueued_at <= t) return queue_.size();
+  return static_cast<std::size_t>(
+      std::partition_point(queue_.begin(), queue_.end(),
+                           [t](const Queued& q) { return q.enqueued_at <= t; }) -
+      queue_.begin());
 }
 
-Duration ReplicaCore::begin_service(TimePoint now) {
+std::optional<TimePoint> ReplicaCore::start(TimePoint now) {
+  if (busy_ || queue_.empty()) return std::nullopt;
+  busy_ = true;
+  current_ = std::move(queue_.front());
+  queue_.pop_front();
+  // A copy that reaches an idle replica starts when the driver takes it:
+  // that handoff is real. One that was already waiting when the previous
+  // service ended starts at that end, as in a FIFO server, so the
+  // driver's wake-up and reply send overlap its service instead of
+  // delaying it.
+  const bool waited = last_end_.has_value() && current_.enqueued_at <= *last_end_;
+  AQUA_ASSERT(!waited || *last_end_ <= now);
+  started_at_ = waited ? *last_end_ : now;
+  return started_at_;
+}
+
+Duration ReplicaCore::begin_service(TimePoint at) {
   AQUA_ASSERT(busy_);
-  service_at_ = now;  // t3
+  service_at_ = at;  // t3
   const ServiceModel* model = service_model_.get();
   if (auto it = config_.method_models.find(current_.request.method);
       it != config_.method_models.end()) {
@@ -93,12 +110,15 @@ Duration ReplicaCore::begin_service(TimePoint now) {
   // A coded chunk-request carries 1/code_k of the whole job's demand;
   // plain requests (code_k == 0) take the unscaled draw. Either way the
   // model consumes the same randomness.
-  return model->sample_chunk(rng_, queue_.size(), current_.request.code_k);
+  service_ = model->sample_chunk(rng_, queued_by(at), current_.request.code_k);
+  return service_;
 }
 
-ReplicaCore::Finished ReplicaCore::finish(TimePoint now) {
+ReplicaCore::Finished ReplicaCore::finish() {
   AQUA_ASSERT(busy_);
   busy_ = false;
+  const TimePoint end = service_at_ + service_;
+  last_end_ = end;
   const proto::Request& request = current_.request;
   proto::Reply reply;
   reply.request = request.id;
@@ -108,15 +128,15 @@ ReplicaCore::Finished ReplicaCore::finish(TimePoint now) {
   if (config_.value_fault_rate > 0.0 && rng_.bernoulli(config_.value_fault_rate)) {
     reply.result = config_.corrupt(reply.result);
   }
-  reply.perf.service_time = now - service_at_;                     // t_s
+  reply.perf.service_time = service_;                              // t_s
   reply.perf.queuing_delay = service_at_ - current_.enqueued_at;  // t_q = t3 - t2
-  reply.perf.queue_length = static_cast<std::int64_t>(queue_.size());
+  reply.perf.queue_length = static_cast<std::int64_t>(queued_by(end));
   reply.perf.sample_seq = ++serviced_;
   // Echo the coding fields so the client-side collector can count this
   // reply toward its k distinct chunks (both stay zero when uncoded).
   reply.chunk = request.chunk;
   reply.code_id = request.code_id;
-  busy_time_ += now - started_at_;
+  busy_time_ += end - started_at_;
   if (replies_counter_ != nullptr) {
     replies_counter_->add();
     service_time_histogram_->record(reply.perf.service_time);
@@ -125,7 +145,7 @@ ReplicaCore::Finished ReplicaCore::finish(TimePoint now) {
   }
 
   Finished done{current_.reply_to, net::Payload::make(reply, proto::kReplyBytes), {}, {}};
-  if (span_sink_ != nullptr && current_.span.valid()) record_spans(now, done.reply);
+  if (span_sink_ != nullptr && current_.span.valid()) record_spans(end, done.reply);
   for (EndpointId subscriber : subscribers_) {
     if (subscriber != done.reply_to) done.perf_targets.push_back(subscriber);
   }
@@ -134,6 +154,10 @@ ReplicaCore::Finished ReplicaCore::finish(TimePoint now) {
                                           proto::kPerfUpdateBytes);
   }
   return done;
+}
+
+void ReplicaCore::reply_departed(TimePoint end, TimePoint departure) {
+  if (reply_lag_histogram_ != nullptr) reply_lag_histogram_->record(departure - end);
 }
 
 void ReplicaCore::record_spans(TimePoint finish, net::Payload& reply) {
@@ -168,6 +192,7 @@ void ReplicaCore::crash() {
   alive_ = false;
   busy_ = false;
   queue_.clear();
+  last_end_.reset();
   if (crashes_counter_ != nullptr) crashes_counter_->add();
 }
 

@@ -2,9 +2,12 @@
 // replica-side twin of core::RequestEngine. It queues each request FIFO,
 // stamping t2 on entry and t3 when its service starts, answers with t_s,
 // t_q = t3 - t2 and the queue length piggybacked, and pushes the same
-// data to every other subscriber. It never reads a clock, sleeps, locks
-// or sends: every time arrives as an argument, and a finished request
-// comes back as the payloads to send. replica::ReplicaServer drives it on
+// data to every other subscriber. It serves as a FIFO server: a copy
+// already queued when the previous service ended starts at that end, and
+// every copy finishes exactly its draw after t3, however late the driver
+// gets round to it. It never reads a clock, sleeps, locks or sends:
+// every time arrives as an argument, and a finished request comes back
+// as the payloads to send. replica::ReplicaServer drives it on
 // simulator events, runtime::ThreadedReplica on a worker thread.
 #pragma once
 
@@ -12,6 +15,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,7 +61,8 @@ struct ReplicaConfig {
   /// Counters replica.{requests, replies, cancels_purged, cancels_ignored,
   /// rejected, coded_chunks, subscribes, crashes, restarts}, histograms
   /// replica.service_time_us and replica.queuing_delay_us, the gauge
-  /// replica.<id>.queue_length, and the queue-wait and service spans.
+  /// replica.<id>.queue_length, the queue-wait and service spans, and
+  /// replica.reply_lag_us when the driver reports reply departures.
   /// Null keeps every instrumented site at one branch.
   obs::Telemetry* telemetry = nullptr;
 };
@@ -78,7 +83,8 @@ class ReplicaCore {
   ReplicaCore& operator=(const ReplicaCore&) = delete;
 
   /// Queue `request` at t2 = now, to be answered at `reply_to`. False,
-  /// counted as rejected, after a crash.
+  /// counted as rejected, after a crash. Admission times never decrease,
+  /// so the queue is in t2 order.
   bool admit(TimePoint now, const proto::Request& request, EndpointId reply_to,
              obs::SpanContext span = {});
   /// Withdraw every queued copy of (request, client); returns how many.
@@ -87,13 +93,22 @@ class ReplicaCore {
   /// Push PerfUpdates to `subscriber` (idempotent).
   void subscribe(EndpointId subscriber);
 
-  /// Move the queue head into service; false if busy or nothing queued.
-  bool start(TimePoint now);
-  /// Stamp t3 = now and draw the service time (the method's model, one
-  /// chunk's share when coded) with the queue length at t3.
-  Duration begin_service(TimePoint now);
-  /// The request in service ends at `now`: its reply and PerfUpdate.
-  Finished finish(TimePoint now);
+  /// Move the queue head into service and return when it started; empty
+  /// if busy or nothing queued. The FIFO-server rule: a copy queued by the
+  /// end of the previous service (t2 <= that end) starts at that end, any
+  /// other at `now`, the moment the driver takes it. A driver that runs
+  /// late thus does not push back the copies waiting behind it.
+  std::optional<TimePoint> start(TimePoint now);
+  /// Stamp t3 = `at` (the start, or later by an emulated intake) and draw
+  /// the service time (the method's model, one chunk's share when coded)
+  /// with the queue length at t3.
+  Duration begin_service(TimePoint at);
+  /// The request in service ends at t3 + the draw: its reply and
+  /// PerfUpdate. The driver calls this at or after that end.
+  Finished finish();
+  /// The driver handed the reply that finished at `end` to its transport
+  /// at `departure`: records departure - end in replica.reply_lag_us.
+  void reply_departed(TimePoint end, TimePoint departure);
 
   /// Drop the queue and the request in service; admit nothing more.
   void crash();
@@ -110,7 +125,8 @@ class ReplicaCore {
   /// Queued copies a cancel reclaimed, and cancels that found none.
   [[nodiscard]] std::uint64_t purged() const { return purged_; }
   [[nodiscard]] std::uint64_t cancels_ignored() const { return cancels_ignored_; }
-  /// Sum of finish − start over completed requests.
+  /// Sum of finish − start over completed requests: the draws, plus any
+  /// intake the driver emulates between start and t3.
   [[nodiscard]] Duration busy_time() const { return busy_time_; }
 
  private:
@@ -121,6 +137,9 @@ class ReplicaCore {
     obs::SpanContext span{};  // trace stamp carried in from the wire
   };
 
+  /// Requests waiting that arrived by `t` (t2 <= t): the queue a stamp at
+  /// `t` sees when the driver calls in after it.
+  [[nodiscard]] std::size_t queued_by(TimePoint t) const;
   void record_spans(TimePoint finish, net::Payload& reply);
 
   ReplicaId id_;
@@ -134,6 +153,8 @@ class ReplicaCore {
   Queued current_{};
   TimePoint started_at_{};  // left the queue
   TimePoint service_at_{};  // t3
+  Duration service_{};      // the draw
+  std::optional<TimePoint> last_end_;  // end of the previous service
   std::vector<EndpointId> subscribers_;
   std::uint64_t serviced_ = 0;
   std::uint64_t purged_ = 0;
@@ -152,6 +173,7 @@ class ReplicaCore {
   obs::Counter* restarts_counter_ = nullptr;
   obs::Histogram* service_time_histogram_ = nullptr;
   obs::Histogram* queuing_delay_histogram_ = nullptr;
+  obs::Histogram* reply_lag_histogram_ = nullptr;
   obs::Gauge* queue_length_gauge_ = nullptr;
   /// Non-null only when telemetry is attached and spans are enabled.
   obs::Telemetry* span_sink_ = nullptr;

@@ -56,7 +56,7 @@ void ReplicaServer::start_next() {
 }
 
 void ReplicaServer::finish_current() {
-  ReplicaCore::Finished done = core_.finish(simulator_.now());
+  ReplicaCore::Finished done = core_.finish();  // now is exactly t3 + the draw
   lan_.unicast(endpoint_, done.reply_to, std::move(done.reply));
   std::erase_if(done.perf_targets,
                 [this](EndpointId subscriber) { return !lan_.endpoint_exists(subscriber); });

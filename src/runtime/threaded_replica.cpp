@@ -42,9 +42,10 @@ void ThreadedReplica::shutdown() {
 
 bool ThreadedReplica::submit(const proto::Request& request, EndpointId reply_to,
                              obs::SpanContext span) {
-  const TimePoint t2 = steady_now();
+  // t2 is read under the mutex, so admission times never go back even
+  // when several threads submit: the core's queue stays in t2 order.
   std::unique_lock lock(mutex_);
-  if (!core_.admit(t2, request, reply_to, span)) return false;
+  if (!core_.admit(steady_now(), request, reply_to, span)) return false;
   lock.unlock();
   work_.notify_one();
   return true;
@@ -82,17 +83,21 @@ void ThreadedReplica::worker() {
   for (;;) {
     work_.wait(lock, [this] { return stopping_ || !core_.alive() || core_.queue_length() > 0; });
     if (stopping_ || !core_.alive()) return;
-    const TimePoint t3 = steady_now();
-    core_.start(t3);
-    const Duration service = core_.begin_service(t3);
+    // A copy that waited starts when the previous one ended (the core's
+    // FIFO-server rule), so the end below may already have passed: the
+    // late wake-up and the reply send of the previous copy then ran
+    // during this copy's service instead of before it.
+    const TimePoint t3 = *core_.start(steady_now());
+    const TimePoint end = t3 + core_.begin_service(t3);
     lock.unlock();
-    // Sleep to an absolute end, so the draw alone bounds the reported t_s
-    // and the bookkeeping above does not add to it.
-    std::this_thread::sleep_until(to_steady(t3 + service));
+    // Sleep to an absolute end, so the draw alone is the reported t_s and
+    // the bookkeeping above does not add to it.
+    std::this_thread::sleep_until(to_steady(end));
     lock.lock();
     if (stopping_ || !core_.alive()) return;  // crashed mid-service: never reply
-    replica::ReplicaCore::Finished done = core_.finish(steady_now());
+    replica::ReplicaCore::Finished done = core_.finish();
     lock.unlock();
+    const TimePoint departure = steady_now();
     // LocalTransport and UdpTransport accept sends from any thread.
     if (done.reply_to != EndpointId{}) {
       transport_.unicast(endpoint_, done.reply_to, std::move(done.reply));
@@ -101,6 +106,7 @@ void ThreadedReplica::worker() {
       transport_.multicast(endpoint_, done.perf_targets, std::move(done.perf_update));
     }
     lock.lock();
+    core_.reply_departed(end, departure);
   }
 }
 

@@ -2,7 +2,11 @@
 // its own transport endpoint, with one worker thread and one mutex around
 // the core. A proto::Request is queued; the worker sleeps until t3 + the
 // drawn service time, then unicasts the reply to the sender and the
-// PerfUpdate to every other subscriber. A proto::Cancel purges every
+// PerfUpdate to every other subscriber. A copy that was waiting gets t3 =
+// the previous copy's end (the core's start rule), so the worker's late
+// wake-up and reply send overlap its service rather than delay it: t_s
+// is the draw, and the lateness shows up as replica.reply_lag_us and in
+// the client's gateway delay t_d. A proto::Cancel purges every
 // queued copy; a proto::Subscribe adds the sender to the subscribers and
 // is answered with proto::Announce{replica, endpoint}, the discovery
 // handshake of a remote gateway. Subscribers are keyed by the sender
@@ -35,8 +39,8 @@ class ThreadedReplica {
   /// process bind a fixed UDP port (UdpTransport::create_endpoint_on).
   using EndpointFactory = std::function<EndpointId(net::ReceiveFn)>;
 
-  /// Binds the endpoint, then starts the worker, which sleeps each drawn
-  /// service time for real. `transport` must outlive the replica.
+  /// Binds the endpoint, then starts the worker, which sleeps to the end
+  /// of each drawn service for real. `transport` must outlive the replica.
   /// config.gateway_overhead is not emulated.
   ThreadedReplica(ReplicaId id, replica::ServiceModelPtr service, Rng rng,
                   net::Transport& transport, const EndpointFactory& factory,

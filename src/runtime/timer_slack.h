@@ -3,8 +3,10 @@
 // Linux lets a sleeping thread wake up to its "timer slack" (50 µs by
 // default) after the requested instant, so timers can be coalesced. The
 // runtime emulates service times and network hops of tens of µs with real
-// sleeps; at the default slack a 20 µs sleep takes ~76 µs, and the
-// overshoot lands in the piggybacked t_s that Algorithm 1 models.
+// sleeps; at the default slack a 20 µs sleep takes ~76 µs. The replica's
+// t_s is the draw however late its worker wakes (replica::ReplicaCore's
+// start rule), but the overshoot still delays its replies and the
+// emulated network hops.
 #pragma once
 
 namespace aqua::runtime {

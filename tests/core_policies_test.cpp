@@ -222,6 +222,33 @@ TEST(PlanDispatchTest, ColdStartIsNeverHedgedOrTrimmed) {
   EXPECT_EQ(plan.trimmed, 0u);
 }
 
+TEST(PlanDispatchTest, ColdStartAndSingleMemberPlansArmTheClampedPredicateUncoded) {
+  const auto obs = five_replicas();
+  auto cold = selection_of({ReplicaId{1}, ReplicaId{2}, ReplicaId{3}});
+  cold.cold_start = true;
+  const auto single = selection_of({ReplicaId{4}});
+  auto plan_for = [&](CompletionSpec spec, const SelectionResult& selection) {
+    DispatchConfig config;
+    config.completion = spec;
+    return plan_dispatch(config, selection, obs, kQos, ResponseTimeModel{});
+  };
+  const DispatchPlan vote = plan_for(CompletionSpec::majority_value(), cold);
+  EXPECT_EQ(vote.completion.kind, CompletionKind::kMajorityValue);
+  EXPECT_EQ(vote.completion.k, 2u);
+  const DispatchPlan quorum = plan_for(CompletionSpec::quorum(5), cold);
+  EXPECT_EQ(quorum.completion.kind, CompletionKind::kQuorum);
+  EXPECT_EQ(quorum.completion.k, 3u);
+  for (const SelectionResult& selection : {cold, single}) {
+    const DispatchPlan chunks = plan_for(CompletionSpec::k_of_n(2), selection);
+    EXPECT_EQ(chunks.completion.kind, CompletionKind::kKOfN);
+    EXPECT_EQ(chunks.completion.k, 1u);  // whole copies: any one will do
+    EXPECT_FALSE(chunks.coded);
+    EXPECT_EQ(chunks.code_k, 0u);
+    EXPECT_EQ(chunks.primary, selection.selected);
+  }
+  EXPECT_EQ(plan_for(CompletionSpec::majority_value(), single).completion.k, 1u);
+}
+
 TEST(PlanDispatchTest, AdaptiveRedundancyTrimsWhenMeanQueueReachesThreshold) {
   DispatchConfig config;
   config.adaptive_redundancy = true;

@@ -236,6 +236,50 @@ TEST(RequestEngineTest, SplitVoteFailsAtItsLastReplyNotAtTheDeadline) {
   EXPECT_TRUE(all_of<Outcome>(s.run_until(at_ms(10) + kDeadline * 11)).empty());
 }
 
+TEST(RequestEngineTest, ColdStartIsVotedWhenTheClientAsksForAMajority) {
+  EngineConfig config;
+  config.dispatch.completion = CompletionSpec::majority_value();
+  Script s{config};  // paper policy: the first request is a cold start
+  const RequestId id = s.invoke(at_ms(10));
+  const Actions sent = s.run_until(at_ms(10));
+  const auto sends = all_of<SendRequest>(sent);
+  ASSERT_EQ(sends.size(), 1u);
+  EXPECT_EQ(sends[0]->targets.size(), 3u);
+  EXPECT_TRUE(sends[0]->chunks.empty());
+
+  proto::Reply corrupted = reply_from(id, 1, msec(2));
+  corrupted.result = ~corrupted.result;
+  EXPECT_TRUE(all_of<Deliver>(s.reply(at_ms(13), corrupted)).empty());  // 1 of the 2 votes
+  EXPECT_TRUE(all_of<Deliver>(s.reply(at_ms(14), reply_from(id, 2, msec(2)))).empty());
+  const Actions last = s.reply(at_ms(15), reply_from(id, 3, msec(2)));
+  const auto delivered = all_of<Deliver>(last);
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered[0]->info.result, static_cast<std::int64_t>(id.value()));
+  EXPECT_TRUE(delivered[0]->record.cold_start);
+}
+
+TEST(RequestEngineTest, ColdStartQuorumWaitsAndKOfNStaysWhole) {
+  EngineConfig quorum;
+  quorum.dispatch.completion = CompletionSpec::quorum(2);
+  Script q{quorum};
+  const RequestId a = q.invoke(at_ms(10));
+  q.run_until(at_ms(10));
+  EXPECT_TRUE(all_of<Deliver>(q.reply(at_ms(13), reply_from(a, 1, msec(2)))).empty());
+  EXPECT_EQ(all_of<Deliver>(q.reply(at_ms(14), reply_from(a, 3, msec(2)))).size(), 1u);
+
+  // Cold-start copies are never coded: each carries the whole job, so
+  // the first reply completes a k-of-n request.
+  EngineConfig coded;
+  coded.dispatch.completion = CompletionSpec::k_of_n(2);
+  Script k{coded};
+  const RequestId b = k.invoke(at_ms(10));
+  const Actions sent = k.run_until(at_ms(10));
+  const auto sends = all_of<SendRequest>(sent);
+  ASSERT_EQ(sends.size(), 1u);
+  EXPECT_TRUE(sends[0]->chunks.empty());
+  EXPECT_EQ(all_of<Deliver>(k.reply(at_ms(13), reply_from(b, 2, msec(2)))).size(), 1u);
+}
+
 TEST(RequestEngineTest, HedgeFiresAfterItsDelayAndTimesTheBackupFromItsOwnSend) {
   EngineConfig config;
   config.dispatch.mode = DispatchMode::kHedged;

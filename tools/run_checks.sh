@@ -85,6 +85,13 @@ grep -o '"metric":"udp_datagrams_per_roundtrip","value":[0-9.e+-]*' \
   build/bench/BENCH_transport.json | cut -d: -f3 |
   awk '{exit !($1 <= 2.5)}' ||
   { echo "FAIL: udp_datagrams_per_roundtrip above 2.5"; exit 1; }
+# A threaded replica serves queued copies back to back at its service
+# model's rate: its worker's wake-up and reply send must not delay the
+# next copy. Release only; sanitizer overheads would dominate.
+grep -o '"metric":"replica_batch_pacing","value":[0-9.e+-]*' \
+  build/bench/BENCH_transport.json | cut -d: -f3 |
+  awk '{exit !($1 <= 1.1)}' ||
+  { echo "FAIL: replica_batch_pacing above 1.1"; exit 1; }
 
 step "Bench JSON: hedging crossover emits BENCH_hedging.json"
 AQUA_BENCH_SEEDS=1 build/bench/hedging_crossover >/dev/null
