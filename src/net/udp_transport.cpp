@@ -13,11 +13,14 @@
 
 #include "common/assert.h"
 #include "common/log.h"
+#include "net/seq_dedup.h"
 #include "net/wire.h"
 #include "obs/telemetry.h"
 
 namespace aqua::net {
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 constexpr std::uint32_t kFrameMagic = 0x46445141;  // "AQDF" little-endian
 // v2: the header carries a list of acked seqs (piggybacked acks), so a
@@ -68,14 +71,31 @@ bool has_unread(int fd) {
   return ::ioctl(fd, FIONREAD, &bytes) == 0 && bytes > 0;
 }
 
+std::uint64_t addr_key(const sockaddr_in& addr) {
+  return static_cast<std::uint64_t>(addr.sin_addr.s_addr) << 16 | addr.sin_port;
+}
+
+sockaddr_in key_addr(std::uint64_t key) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = static_cast<std::uint32_t>(key >> 16);
+  addr.sin_port = static_cast<std::uint16_t>(key);
+  return addr;
+}
+
+void send_bytes(int fd, const std::uint8_t* bytes, std::size_t size, const sockaddr_in& addr) {
+  (void)::sendto(fd, bytes, size, 0, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+}
+
 }  // namespace
 
 struct UdpTransport::LocalEndpoint {
-  /// Seqs received from one peer and not yet acked, oldest first. An
-  /// entry exists only while it owes something.
+  /// Seqs received from one peer and not yet acked, oldest first. The
+  /// entry stays once the peer is known, empty while nothing is owed, so
+  /// owing an ack allocates nothing.
   struct OwedAcks {
     std::vector<std::uint64_t> seqs;
-    std::chrono::steady_clock::time_point since{};  // when the oldest was received
+    Clock::time_point since{};  // when the oldest was received
 
     /// Moves up to kMaxAcksPerFrame of the oldest seqs into `out`.
     void take(std::vector<std::uint64_t>& out) {
@@ -84,6 +104,25 @@ struct UdpTransport::LocalEndpoint {
       seqs.erase(seqs.begin(), seqs.begin() + n);
     }
   };
+  /// One unacked DATA frame awaiting retransmit or give-up.
+  struct Pending {
+    std::uint64_t seq = 0;
+    EndpointId to;
+    HostId to_host;
+    sockaddr_in addr{};
+    /// Shared with a sender or the timer between its unlock and sendto.
+    std::shared_ptr<std::uint8_t[]> frame;
+    std::size_t size = 0;
+    int attempts = 1;
+    Clock::time_point next_resend{};
+    Duration wait{};
+  };
+  /// A source's dedup state, reset when its handle changes (the handle
+  /// was destroyed and the address learned afresh).
+  struct Source {
+    EndpointId from;
+    SeqDedup seen;
+  };
 
   HostId host{};
   ReceiveFn on_receive;
@@ -91,8 +130,17 @@ struct UdpTransport::LocalEndpoint {
   std::uint16_t port = 0;
   sockaddr_in bound{};
   std::atomic<bool> stopping{false};
-  /// Guarded by the transport's mutex_.
-  std::map<AddrKey, OwedAcks> owed_acks;
+
+  /// Guards owed_acks and pending. Taken after members_, never before.
+  std::mutex mutex;
+  std::unordered_map<AddrKey, OwedAcks> owed_acks;
+  /// Ascending by seq: a seq is drawn under `mutex`, so frames append in
+  /// order and an ack finds its frame by binary search.
+  std::vector<Pending> pending;
+
+  /// Receiver thread only, and whoever destroys the endpoint once that
+  /// thread has stopped.
+  std::unordered_map<AddrKey, Source> sources;
   /// The socket's cumulative kernel drop count last read (receiver only).
   std::uint32_t kernel_drops = 0;
 
@@ -105,12 +153,99 @@ struct UdpTransport::LocalEndpoint {
   ~LocalEndpoint() {
     if (fd >= 0) ::close(fd);
   }
+
+  /// Whether `seq` was still unacked. Caller holds `mutex`.
+  bool erase_pending(std::uint64_t seq) {
+    auto it = std::lower_bound(pending.begin(), pending.end(), seq,
+                               [](const Pending& p, std::uint64_t s) { return p.seq < s; });
+    if (it == pending.end() || it->seq != seq) return false;
+    pending.erase(it);
+    return true;
+  }
+
+  /// Caller holds `mutex`.
+  void owe_ack(AddrKey peer, std::uint64_t seq) {
+    OwedAcks& owed = owed_acks[peer];
+    if (owed.seqs.empty()) owed.since = Clock::now();
+    owed.seqs.push_back(seq);
+  }
+
+  /// Caller holds `mutex`.
+  [[nodiscard]] bool owes_ack_to(AddrKey peer) const {
+    auto it = owed_acks.find(peer);
+    return it != owed_acks.end() && !it->second.seqs.empty();
+  }
+
+  /// Whether this endpoint delivered (or refused below its floor) the
+  /// frame `seq` from `source`. Only once its receiver has stopped, or
+  /// on that thread.
+  [[nodiscard]] bool delivered(AddrKey source, std::uint64_t seq) const {
+    auto it = sources.find(source);
+    return it != sources.end() && it->second.seen.admitted(seq);
+  }
 };
 
-struct UdpTransport::Outgoing {
-  std::shared_ptr<LocalEndpoint> src;  // keeps the fd open across the sendto
-  sockaddr_in addr{};
-  std::shared_ptr<const std::vector<std::uint8_t>> frame;
+struct UdpTransport::AckBatch {
+  struct Frame {
+    const LocalEndpoint* src;
+    sockaddr_in addr;
+    std::size_t offset;
+    std::size_t size;
+  };
+  std::vector<std::uint8_t> bytes;
+  std::vector<Frame> frames;
+
+  /// Moves the acks `endpoint` has owed a peer since `owed_since` or
+  /// earlier into ACK frames. Caller holds the endpoint's mutex.
+  void take(LocalEndpoint& endpoint, Clock::time_point owed_since) {
+    for (auto& [peer, owed] : endpoint.owed_acks) {
+      if (owed.seqs.empty() || owed.since > owed_since) continue;  // a DATA frame may carry them
+      const sockaddr_in addr = key_addr(peer);
+      while (!owed.seqs.empty()) {
+        const std::size_t n = std::min(owed.seqs.size(), kMaxAcksPerFrame);
+        const std::size_t offset = bytes.size();
+        bytes.resize(offset + frame_header_bytes(n));
+        write_frame_header(bytes.data() + offset, kFrameAck, 0, {owed.seqs.data(), n});
+        owed.seqs.erase(owed.seqs.begin(), owed.seqs.begin() + static_cast<std::ptrdiff_t>(n));
+        frames.push_back({&endpoint, addr, offset, frame_header_bytes(n)});
+      }
+    }
+  }
+
+  void clear() {
+    bytes.clear();
+    frames.clear();
+  }
+};
+
+struct UdpTransport::Scan {
+  struct Resend {
+    const LocalEndpoint* src;
+    sockaddr_in addr;
+    std::shared_ptr<std::uint8_t[]> frame;
+    std::size_t size;
+  };
+  struct GiveUp {
+    LocalEndpoint* from;
+    std::uint64_t seq;
+    EndpointId to;
+    HostId to_host;
+  };
+  /// Holds every scanned endpoint, and so its fd, until the scan's sends
+  /// are done. The vectors keep their capacity from scan to scan.
+  std::vector<std::shared_ptr<LocalEndpoint>> endpoints;
+  std::vector<Resend> resends;
+  std::vector<GiveUp> give_ups;
+  std::vector<HostId> dead;
+  AckBatch acks;
+
+  void clear() {
+    endpoints.clear();
+    resends.clear();
+    give_ups.clear();
+    dead.clear();
+    acks.clear();
+  }
 };
 
 UdpTransport::UdpTransport(UdpTransportConfig config)
@@ -138,14 +273,14 @@ UdpTransport::~UdpTransport() {
   timer_thread_.join();
   std::vector<EndpointId> local_ids;
   {
-    std::lock_guard lock(mutex_);
+    std::shared_lock lock(members_);
     local_ids.reserve(locals_.size());
     for (const auto& [id, endpoint] : locals_) local_ids.push_back(id);
   }
   for (EndpointId id : local_ids) destroy_endpoint(id);
   std::vector<std::thread> self_destroyed;
   {
-    std::lock_guard lock(mutex_);
+    std::unique_lock lock(members_);
     self_destroyed.swap(self_destroyed_);
   }
   for (std::thread& thread : self_destroyed) thread.join();
@@ -188,9 +323,9 @@ EndpointId UdpTransport::create_endpoint_on(HostId host, std::uint16_t port,
   endpoint->port = ntohs(addr.sin_port);
   endpoint->bound = addr;
 
-  std::lock_guard lock(mutex_);
+  std::unique_lock lock(members_);
   const EndpointId id = endpoint_ids_.next();
-  by_addr_[{addr.sin_addr.s_addr, addr.sin_port}] = id;
+  by_addr_[addr_key(addr)] = id;
   host_alive_.try_emplace(host, true);
   // Started under the lock that destroy_endpoint reads `receiver` under.
   // The thread holds a reference, so an endpoint destroyed from its own
@@ -206,28 +341,19 @@ EndpointId UdpTransport::register_peer(const std::string& address, std::uint16_t
   addr.sin_port = htons(port);
   AQUA_REQUIRE(::inet_pton(AF_INET, address.c_str(), &addr.sin_addr) == 1,
                "peer address must be a dotted-quad IPv4 address");
-  std::lock_guard lock(mutex_);
-  const AddrKey key{addr.sin_addr.s_addr, addr.sin_port};
+  std::unique_lock lock(members_);
+  const AddrKey key = addr_key(addr);
   if (auto it = by_addr_.find(key); it != by_addr_.end()) return it->second;
-  const EndpointId id = endpoint_ids_.next();
-  const HostId host = peer_hosts_.next();
-  remotes_.emplace(id, RemotePeer{host, addr});
-  by_addr_[key] = id;
-  host_alive_.try_emplace(host, true);
-  return id;
+  return learn_peer_locked(key);
 }
 
 std::shared_ptr<UdpTransport::LocalEndpoint> UdpTransport::detach_local(EndpointId endpoint) {
-  std::lock_guard lock(mutex_);
+  std::unique_lock lock(members_);
   auto it = locals_.find(endpoint);
   if (it == locals_.end()) return nullptr;
   std::shared_ptr<LocalEndpoint> victim = std::move(it->second);
   locals_.erase(it);
-  by_addr_.erase({victim->bound.sin_addr.s_addr, victim->bound.sin_port});
-  dedup_.erase(endpoint);
-  std::erase_if(pending_, [endpoint](const auto& entry) {
-    return entry.second.from == endpoint || entry.second.to == endpoint;
-  });
+  by_addr_.erase(addr_key(victim->bound));
   // Called from the endpoint's own callback: the thread cannot join
   // itself, and no other callback of the endpoint can be running.
   if (victim->receiver.get_id() == std::this_thread::get_id()) {
@@ -238,6 +364,12 @@ std::shared_ptr<UdpTransport::LocalEndpoint> UdpTransport::detach_local(Endpoint
 
 void UdpTransport::destroy_endpoint(EndpointId endpoint) {
   if (std::shared_ptr<LocalEndpoint> victim = detach_local(endpoint)) {
+    {
+      // No sender can reach the endpoint any more: its unacked frames
+      // are forgotten, never retransmitted or given up on.
+      std::lock_guard lock(victim->mutex);
+      victim->pending.clear();
+    }
     victim->stopping.store(true);
     // Wakes a receiver blocked in recvmsg at once: reads of a read-shut
     // socket return empty. Linux does this for unconnected UDP sockets
@@ -247,109 +379,114 @@ void UdpTransport::destroy_endpoint(EndpointId endpoint) {
     // itself destroys its endpoint. The fd closes in ~LocalEndpoint, once
     // no receiver or sender holds the endpoint.
     if (victim->receiver.joinable()) victim->receiver.join();
+    forget_pending_to(endpoint, victim.get());
     // No DATA frame of this endpoint will carry the acks it still owes,
     // and a peer left without them would retransmit into a closed socket
     // and presume this host dead.
-    std::vector<Outgoing> acks;
+    AckBatch acks;
     {
-      std::lock_guard lock(mutex_);
-      take_ack_frames_locked(victim, std::chrono::steady_clock::time_point::max(), acks);
+      std::lock_guard lock(victim->mutex);
+      acks.take(*victim, Clock::time_point::max());
     }
     send_acks(acks);
     return;
   }
-  std::lock_guard lock(mutex_);
-  auto it = remotes_.find(endpoint);
-  if (it == remotes_.end()) return;
-  by_addr_.erase({it->second.addr.sin_addr.s_addr, it->second.addr.sin_port});
-  dedup_.erase(endpoint);
-  std::erase_if(pending_,
-                [endpoint](const auto& entry) { return entry.second.to == endpoint; });
-  remotes_.erase(it);
+  {
+    std::unique_lock lock(members_);
+    auto it = remotes_.find(endpoint);
+    if (it == remotes_.end()) return;
+    by_addr_.erase(addr_key(it->second.addr));
+    remotes_.erase(it);
+  }
+  forget_pending_to(endpoint, nullptr);
+}
+
+void UdpTransport::forget_pending_to(EndpointId to, const LocalEndpoint* victim) {
+  std::uint64_t lost = 0;
+  {
+    std::shared_lock members(members_);
+    for (const auto& [id, endpoint] : locals_) {
+      const AddrKey source = addr_key(endpoint->bound);
+      std::lock_guard lock(endpoint->mutex);
+      std::erase_if(endpoint->pending, [&](const LocalEndpoint::Pending& pending) {
+        if (pending.to != to) return false;
+        if (victim != nullptr && !victim->delivered(source, pending.seq)) ++lost;
+        return true;
+      });
+    }
+  }
+  if (lost != 0) count_drop(lost);
 }
 
 void UdpTransport::unicast(EndpointId from, EndpointId to, Payload message) {
-  auto encoded = std::make_shared<std::vector<std::uint8_t>>();
-  const bool ok = encode_payload(message, *encoded);
-  send_datagram(from, to, ok ? std::shared_ptr<const std::vector<std::uint8_t>>{encoded}
-                             : nullptr);
+  // Reused per thread: send_datagram copies the body into the frame.
+  thread_local std::vector<std::uint8_t> body;
+  const bool ok = encode_payload(message, body);
+  send_datagram(from, to, ok ? &body : nullptr);
 }
 
 void UdpTransport::multicast(EndpointId from, std::span<const EndpointId> to, Payload message) {
   if (to.empty()) return;
-  auto encoded = std::make_shared<std::vector<std::uint8_t>>();
-  const bool ok = encode_payload(message, *encoded);
-  const std::shared_ptr<const std::vector<std::uint8_t>> shared =
-      ok ? encoded : std::shared_ptr<const std::vector<std::uint8_t>>{};
+  thread_local std::vector<std::uint8_t> body;
+  const bool ok = encode_payload(message, body);
   // One independent datagram (own seq, own retransmit state) per member.
-  for (EndpointId dst : to) send_datagram(from, dst, shared);
+  for (EndpointId dst : to) send_datagram(from, dst, ok ? &body : nullptr);
 }
 
-void UdpTransport::send_datagram(
-    EndpointId from, EndpointId to,
-    const std::shared_ptr<const std::vector<std::uint8_t>>& encoded) {
+void UdpTransport::send_datagram(EndpointId from, EndpointId to,
+                                 const std::vector<std::uint8_t>* body) {
   sent_.fetch_add(1, std::memory_order_relaxed);
   if (sent_counter_ != nullptr) sent_counter_->add();
   std::shared_ptr<LocalEndpoint> src;  // keeps the fd open across the sendto
-  std::shared_ptr<std::vector<std::uint8_t>> frame;
+  std::shared_ptr<std::uint8_t[]> frame;
+  std::size_t size = 0;
   sockaddr_in dst{};
   {
-    std::lock_guard lock(mutex_);
+    // Held until the frame is registered, so destroy_endpoint(to) either
+    // precedes the lookup or sees the frame it must forget.
+    std::shared_lock members(members_);
     auto from_it = locals_.find(from);
-    if (from_it == locals_.end()) {  // sender destroyed with a reply in flight
+    HostId to_host{};
+    // A sender destroyed with a reply in flight, an unknown destination,
+    // or an unserializable body.
+    if (from_it == locals_.end() || !find_destination_locked(to, dst, to_host) ||
+        body == nullptr) {
       count_drop();
       return;
     }
     src = from_it->second;
-    HostId to_host{};
-    if (auto local_it = locals_.find(to); local_it != locals_.end()) {
-      dst = local_it->second->bound;
-      to_host = local_it->second->host;
-    } else if (auto remote_it = remotes_.find(to); remote_it != remotes_.end()) {
-      dst = remote_it->second.addr;
-      to_host = remote_it->second.host;
-    } else {
-      count_drop();
-      return;
-    }
-    if (encoded == nullptr) {  // unserializable body
-      count_drop();
-      return;
-    }
 
+    std::lock_guard lock(src->mutex);
     // The frame carries the acks this endpoint owes the destination.
     thread_local std::vector<std::uint64_t> acks;
     acks.clear();
-    if (auto it = src->owed_acks.find({dst.sin_addr.s_addr, dst.sin_port});
-        it != src->owed_acks.end()) {
+    if (auto it = src->owed_acks.find(addr_key(dst)); it != src->owed_acks.end()) {
       it->second.take(acks);
-      if (it->second.seqs.empty()) src->owed_acks.erase(it);
     }
     const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
     const std::size_t header = frame_header_bytes(acks.size());
-    frame = std::make_shared<std::vector<std::uint8_t>>(header + encoded->size());
-    write_frame_header(frame->data(), kFrameData, seq, acks);
-    std::memcpy(frame->data() + header, encoded->data(), encoded->size());
+    size = header + body->size();
+    frame = std::make_shared_for_overwrite<std::uint8_t[]>(size);
+    write_frame_header(frame.get(), kFrameData, seq, acks);
+    std::memcpy(frame.get() + header, body->data(), body->size());
 
     if (config_.reliable) {
       // Register the pending entry BEFORE the first transmission: on
       // loopback the ack can beat any bookkeeping done after sendto, and
       // a pending entry inserted late is an orphan the timer loop then
       // resends spuriously.
-      const auto now = std::chrono::steady_clock::now();
-      Pending pending;
-      pending.from = from;
+      LocalEndpoint::Pending& pending = src->pending.emplace_back();
+      pending.seq = seq;
       pending.to = to;
       pending.to_host = to_host;
       pending.addr = dst;
       pending.frame = frame;
+      pending.size = size;
       pending.wait = config_.retransmit_initial;
-      pending.next_resend = now + config_.retransmit_initial;
-      pending_.emplace(seq, std::move(pending));
+      pending.next_resend = Clock::now() + config_.retransmit_initial;
     }
   }
-  (void)::sendto(src->fd, frame->data(), frame->size(), 0,
-                 reinterpret_cast<const sockaddr*>(&dst), sizeof dst);
+  send_bytes(src->fd, frame.get(), size, dst);
 }
 
 void UdpTransport::receive_loop(LocalEndpoint* endpoint) {
@@ -370,20 +507,19 @@ void UdpTransport::receive_loop(LocalEndpoint* endpoint) {
     const ssize_t n = ::recvmsg(endpoint->fd, &msg, 0);
     // EINTR, or destroyed.
     if (n < 0 || endpoint->stopping.load(std::memory_order_relaxed)) continue;
-    count_kernel_drops(endpoint, msg);
+    count_kernel_drops(*endpoint, msg);
     if (n == 0) continue;  // an empty datagram
-    handle_frame(endpoint, {src.sin_addr.s_addr, src.sin_port},
-                 {buf.data(), static_cast<std::size_t>(n)});
+    handle_frame(*endpoint, addr_key(src), {buf.data(), static_cast<std::size_t>(n)});
   }
 }
 
-void UdpTransport::count_kernel_drops(LocalEndpoint* endpoint, msghdr& msg) {
+void UdpTransport::count_kernel_drops(LocalEndpoint& endpoint, msghdr& msg) {
   for (cmsghdr* c = CMSG_FIRSTHDR(&msg); c != nullptr; c = CMSG_NXTHDR(&msg, c)) {
     if (c->cmsg_level != SOL_SOCKET || c->cmsg_type != SO_RXQ_OVFL) continue;
     std::uint32_t total = 0;
     std::memcpy(&total, CMSG_DATA(c), sizeof total);
-    const std::uint32_t fresh = total - endpoint->kernel_drops;  // wraps like the kernel's
-    endpoint->kernel_drops = total;
+    const std::uint32_t fresh = total - endpoint.kernel_drops;  // wraps like the kernel's
+    endpoint.kernel_drops = total;
     if (fresh != 0) {
       queue_dropped_.fetch_add(fresh, std::memory_order_relaxed);
       count_drop(fresh);
@@ -391,7 +527,7 @@ void UdpTransport::count_kernel_drops(LocalEndpoint* endpoint, msghdr& msg) {
   }
 }
 
-void UdpTransport::handle_frame(LocalEndpoint* endpoint, const AddrKey& source,
+void UdpTransport::handle_frame(LocalEndpoint& endpoint, AddrKey source,
                                 std::span<const std::uint8_t> bytes) {
   // Runts, foreign formats and other frame versions are counted drops.
   if (bytes.size() < kFrameFixedBytes || get_u32(bytes.data()) != kFrameMagic ||
@@ -401,45 +537,37 @@ void UdpTransport::handle_frame(LocalEndpoint* endpoint, const AddrKey& source,
     return;
   }
   const std::size_t header = frame_header_bytes(bytes[14]);
-  EndpointId from{};
-  bool fresh = false;
-  std::vector<std::pair<HostId, bool>> notifications;
+  const bool data = bytes[5] == kFrameData;
+  const std::uint64_t seq = get_u64(bytes.data() + 6);
   {
-    std::lock_guard lock(mutex_);
+    // Acks return to the socket that sent the frame: this endpoint's.
+    std::lock_guard lock(endpoint.mutex);
     for (std::size_t off = kFrameFixedBytes; off < header; off += 8) {
-      pending_.erase(get_u64(bytes.data() + off));
+      endpoint.erase_pending(get_u64(bytes.data() + off));
     }
-    if (bytes[5] == kFrameAck) {
-      if (auto it = by_addr_.find(source); it != by_addr_.end()) {
-        set_host_alive_locked(endpoint_host_locked(it->second), true, notifications);
-      }
-    } else {
-      const std::uint64_t seq = get_u64(bytes.data() + 6);
-      from = lookup_or_learn_locked(source);
-      set_host_alive_locked(endpoint_host_locked(from), true, notifications);
-      // Owe the ack, duplicates included: a lost ack is repaired by
-      // acking the retransmit.
-      auto [owed, first] = endpoint->owed_acks.try_emplace(source);
-      if (first) owed->second.since = std::chrono::steady_clock::now();
-      owed->second.seqs.push_back(seq);
-      Dedup& dedup = dedup_[from];
-      // Anything below the prune floor was already delivered once (its
-      // entry just aged out of `seen`), so a straggler retransmit down
-      // there must be refused without consulting the set.
-      fresh = seq >= dedup.floor && dedup.seen.insert(seq).second;
-      if (fresh) {
-        dedup.max_seen = std::max(dedup.max_seen, seq);
-        if (dedup.seen.size() > config_.dedup_capacity &&
-            dedup.max_seen > config_.dedup_window) {
-          dedup.floor = std::max(dedup.floor, dedup.max_seen - config_.dedup_window);
-          const std::uint64_t floor = dedup.floor;
-          std::erase_if(dedup.seen, [floor](std::uint64_t s) { return s < floor; });
-        }
-      }
-    }
+    // Owe the ack, duplicates included: a lost ack is repaired by
+    // acking the retransmit.
+    if (data) endpoint.owe_ack(source, seq);
   }
-  notify_host_state(notifications);
-  if (!fresh) return;  // an ACK frame, or a duplicate
+  const EndpointId from = note_alive(source, /*learn=*/data);
+  if (!data) return;
+
+  auto it = endpoint.sources.find(source);
+  if (it == endpoint.sources.end() || it->second.from != from) {
+    SeqDedup fresh{config_.dedup_capacity, config_.dedup_window};
+    it = endpoint.sources.insert_or_assign(source, LocalEndpoint::Source{from, std::move(fresh)})
+             .first;
+  }
+  switch (it->second.seen.admit(seq)) {
+    case SeqDedup::Verdict::kFresh:
+      break;
+    case SeqDedup::Verdict::kDuplicate:
+      return;
+    case SeqDedup::Verdict::kBelowFloor:
+      refused_below_floor_.fetch_add(1, std::memory_order_relaxed);
+      if (refused_counter_ != nullptr) refused_counter_->add();
+      return;
+  }
 
   std::optional<Payload> payload = decode_payload(bytes.subspan(header));
   if (!payload.has_value()) {  // foreign version or corrupt datagram
@@ -448,111 +576,121 @@ void UdpTransport::handle_frame(LocalEndpoint* endpoint, const AddrKey& source,
   }
   delivered_.fetch_add(1, std::memory_order_relaxed);
   if (delivered_counter_ != nullptr) delivered_counter_->add();
-  endpoint->on_receive(from, *payload);
+  endpoint.on_receive(from, *payload);
 }
 
-void UdpTransport::take_ack_frames_locked(const std::shared_ptr<LocalEndpoint>& endpoint,
-                                          std::chrono::steady_clock::time_point owed_since,
-                                          std::vector<Outgoing>& out) {
-  std::vector<std::uint64_t> batch;
-  for (auto it = endpoint->owed_acks.begin(); it != endpoint->owed_acks.end();) {
-    LocalEndpoint::OwedAcks& owed = it->second;
-    if (owed.since > owed_since) {  // a DATA frame may still carry them
-      ++it;
-      continue;
+EndpointId UdpTransport::note_alive(AddrKey source, bool learn) {
+  {
+    std::shared_lock lock(members_);
+    auto it = by_addr_.find(source);
+    if (it == by_addr_.end()) {
+      if (!learn) return EndpointId{};
+    } else if (auto alive = host_alive_.find(endpoint_host_locked(it->second));
+               alive == host_alive_.end() || alive->second) {
+      return it->second;
     }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = it->first.first;
-    addr.sin_port = it->first.second;
-    while (!owed.seqs.empty()) {
-      owed.take(batch);
-      auto frame = std::make_shared<std::vector<std::uint8_t>>(frame_header_bytes(batch.size()));
-      write_frame_header(frame->data(), kFrameAck, 0, batch);
-      out.push_back({endpoint, addr, std::move(frame)});
-    }
-    it = endpoint->owed_acks.erase(it);
   }
+  // A new peer, or a host presumed dead that is heard from again.
+  std::vector<std::pair<HostId, bool>> notifications;
+  EndpointId id{};
+  {
+    std::unique_lock lock(members_);
+    if (auto it = by_addr_.find(source); it != by_addr_.end()) {
+      id = it->second;
+    } else if (learn) {
+      id = learn_peer_locked(source);
+    } else {
+      return EndpointId{};
+    }
+    set_host_alive_locked(endpoint_host_locked(id), true, notifications);
+  }
+  notify_host_state(notifications);
+  return id;
 }
 
-void UdpTransport::send_acks(const std::vector<Outgoing>& acks) {
-  for (const Outgoing& ack : acks) {
+void UdpTransport::send_acks(const AckBatch& acks) {
+  for (const AckBatch::Frame& ack : acks.frames) {
     acks_sent_.fetch_add(1, std::memory_order_relaxed);
     if (acks_sent_counter_ != nullptr) acks_sent_counter_->add();
-    (void)::sendto(ack.src->fd, ack.frame->data(), ack.frame->size(), 0,
-                   reinterpret_cast<const sockaddr*>(&ack.addr), sizeof ack.addr);
+    send_bytes(ack.src->fd, acks.bytes.data() + ack.offset, ack.size, ack.addr);
   }
 }
 
-bool UdpTransport::acks_may_be_behind_locked(const Pending& pending,
-                                             const LocalEndpoint& from) const {
+bool UdpTransport::acks_may_be_behind(const LocalEndpoint& from, EndpointId to) const {
   // A callback that blocks a local receiver leaves its socket unread:
   // the sender's, where the ack may wait, or a local destination's, where
   // the frame may wait. A local destination that has read the frame owes
   // the ack until its next ACK frame or DATA frame to the sender.
   if (has_unread(from.fd)) return true;
-  auto to_it = locals_.find(pending.to);
+  std::shared_lock members(members_);
+  auto to_it = locals_.find(to);
   if (to_it == locals_.end()) return false;
-  const LocalEndpoint& to = *to_it->second;
-  return has_unread(to.fd) ||
-         to.owed_acks.contains({from.bound.sin_addr.s_addr, from.bound.sin_port});
+  LocalEndpoint& dest = *to_it->second;
+  if (has_unread(dest.fd)) return true;
+  std::lock_guard lock(dest.mutex);
+  return dest.owes_ack_to(addr_key(from.bound));
 }
 
 void UdpTransport::timer_loop() {
-  std::vector<Outgoing> resends;
-  std::vector<Outgoing> acks;
+  Scan scan;
   while (true) {
-    resends.clear();
-    acks.clear();
-    std::vector<std::pair<HostId, bool>> notifications;
     {
-      std::lock_guard lock(mutex_);
-      const auto now = std::chrono::steady_clock::now();
-      for (auto it = pending_.begin(); it != pending_.end();) {
-        Pending& pending = it->second;
-        if (now < pending.next_resend) {
-          ++it;
-          continue;
-        }
-        auto from_it = locals_.find(pending.from);
-        if (from_it == locals_.end()) {  // sender endpoint gone: forget the packet
-          it = pending_.erase(it);
-          continue;
-        }
+      std::shared_lock members(members_);
+      for (const auto& [id, endpoint] : locals_) scan.endpoints.push_back(endpoint);
+    }
+    const auto now = Clock::now();
+    // Due frames: resend, or judge below once the budget is spent.
+    for (const std::shared_ptr<LocalEndpoint>& endpoint : scan.endpoints) {
+      std::lock_guard lock(endpoint->mutex);
+      for (LocalEndpoint::Pending& pending : endpoint->pending) {
+        if (now < pending.next_resend) continue;
         if (pending.attempts >= config_.max_attempts) {
-          if (acks_may_be_behind_locked(pending, *from_it->second)) {  // judged at a later scan
-            ++it;
-            continue;
-          }
-          // Retransmit budget exhausted: the datagram is lost for good
-          // and the destination is presumed dead — the same liveness
-          // signal a crashed host raises on the simulated Lan.
-          count_drop();
-          set_host_alive_locked(pending.to_host, false, notifications);
-          it = pending_.erase(it);
+          scan.give_ups.push_back({endpoint.get(), pending.seq, pending.to, pending.to_host});
           continue;
         }
         ++pending.attempts;
-        resends.push_back({from_it->second, pending.addr, pending.frame});
-        pending.wait = Duration{static_cast<std::int64_t>(
-            std::llround(static_cast<double>(count_us(pending.wait)) *
-                         config_.retransmit_backoff))};
+        scan.resends.push_back({endpoint.get(), pending.addr, pending.frame, pending.size});
+        pending.wait = Duration{static_cast<std::int64_t>(std::llround(
+            static_cast<double>(count_us(pending.wait)) * config_.retransmit_backoff))};
         pending.next_resend = now + pending.wait;
-        ++it;
-      }
-      // Acks no DATA frame carried in time go out alone.
-      for (const auto& [id, endpoint] : locals_) {
-        take_ack_frames_locked(endpoint, now - ack_delay_, acks);
       }
     }
-    for (const Outgoing& resend : resends) {
+    // Every give-up check precedes the ack sweep: an ack the sweep takes
+    // is no longer owed, and a check after it would miss it.
+    for (const Scan::GiveUp& give_up : scan.give_ups) {
+      if (acks_may_be_behind(*give_up.from, give_up.to)) continue;  // judged at a later scan
+      {
+        std::lock_guard lock(give_up.from->mutex);
+        if (!give_up.from->erase_pending(give_up.seq)) continue;  // acked meanwhile
+      }
+      // Retransmit budget exhausted: the datagram is lost for good and
+      // the destination is presumed dead — the same liveness signal a
+      // crashed host raises on the simulated Lan.
+      count_drop();
+      scan.dead.push_back(give_up.to_host);
+    }
+    // Acks no DATA frame carried in time go out alone.
+    for (const std::shared_ptr<LocalEndpoint>& endpoint : scan.endpoints) {
+      std::lock_guard lock(endpoint->mutex);
+      scan.acks.take(*endpoint, now - ack_delay_);
+    }
+    for (const Scan::Resend& resend : scan.resends) {
       retransmitted_.fetch_add(1, std::memory_order_relaxed);
       if (retransmit_counter_ != nullptr) retransmit_counter_->add();
-      (void)::sendto(resend.src->fd, resend.frame->data(), resend.frame->size(), 0,
-                     reinterpret_cast<const sockaddr*>(&resend.addr), sizeof resend.addr);
+      send_bytes(resend.src->fd, resend.frame.get(), resend.size, resend.addr);
     }
-    send_acks(acks);
-    notify_host_state(notifications);
+    send_acks(scan.acks);
+    if (!scan.dead.empty()) {
+      std::vector<std::pair<HostId, bool>> notifications;
+      {
+        std::unique_lock members(members_);
+        for (HostId host : scan.dead) set_host_alive_locked(host, false, notifications);
+      }
+      notify_host_state(notifications);
+    }
+    // Drops the scan's endpoint references now, so the socket of one
+    // destroyed meanwhile closes at once, not a tick later.
+    scan.clear();
 
     // Waking every ack_delay_ sends an owed ack within 2 x ack_delay_ <=
     // retransmit_initial / 2, before its frame's first retransmit.
@@ -564,16 +702,10 @@ void UdpTransport::timer_loop() {
   }
 }
 
-EndpointId UdpTransport::lookup_or_learn_locked(const AddrKey& source) {
-  if (auto it = by_addr_.find(source); it != by_addr_.end()) return it->second;
+EndpointId UdpTransport::learn_peer_locked(AddrKey source) {
   const EndpointId id = endpoint_ids_.next();
   const HostId host = peer_hosts_.next();
-  RemotePeer peer;
-  peer.host = host;
-  peer.addr.sin_family = AF_INET;
-  peer.addr.sin_addr.s_addr = source.first;
-  peer.addr.sin_port = source.second;
-  remotes_.emplace(id, peer);
+  remotes_.emplace(id, RemotePeer{host, key_addr(source)});
   by_addr_[source] = id;
   host_alive_.try_emplace(host, true);
   return id;
@@ -584,6 +716,20 @@ HostId UdpTransport::endpoint_host_locked(EndpointId endpoint) const {
   auto it = remotes_.find(endpoint);
   AQUA_REQUIRE(it != remotes_.end(), "unknown endpoint");
   return it->second.host;
+}
+
+bool UdpTransport::find_destination_locked(EndpointId to, sockaddr_in& addr, HostId& host) const {
+  if (auto it = locals_.find(to); it != locals_.end()) {
+    addr = it->second->bound;
+    host = it->second->host;
+    return true;
+  }
+  if (auto it = remotes_.find(to); it != remotes_.end()) {
+    addr = it->second.addr;
+    host = it->second.host;
+    return true;
+  }
+  return false;
 }
 
 void UdpTransport::set_host_alive_locked(HostId host, bool alive,
@@ -599,7 +745,7 @@ void UdpTransport::notify_host_state(
   if (notifications.empty()) return;
   std::vector<HostStateFn> subscribers;
   {
-    std::lock_guard lock(mutex_);
+    std::shared_lock lock(members_);
     subscribers = host_state_subscribers_;
   }
   for (const auto& [host, alive] : notifications) {
@@ -615,34 +761,35 @@ void UdpTransport::count_drop(std::uint64_t n) {
 
 void UdpTransport::subscribe_host_state(HostStateFn fn) {
   AQUA_REQUIRE(fn != nullptr, "host-state callback must be callable");
-  std::lock_guard lock(mutex_);
+  std::unique_lock lock(members_);
   host_state_subscribers_.push_back(std::move(fn));
 }
 
 bool UdpTransport::host_alive(HostId host) const {
-  std::lock_guard lock(mutex_);
+  std::shared_lock lock(members_);
   auto it = host_alive_.find(host);
   return it == host_alive_.end() ? true : it->second;
 }
 
 HostId UdpTransport::endpoint_host(EndpointId endpoint) const {
-  std::lock_guard lock(mutex_);
+  std::shared_lock lock(members_);
   return endpoint_host_locked(endpoint);
 }
 
 bool UdpTransport::endpoint_exists(EndpointId endpoint) const {
-  std::lock_guard lock(mutex_);
+  std::shared_lock lock(members_);
   return locals_.contains(endpoint) || remotes_.contains(endpoint);
 }
 
 void UdpTransport::set_telemetry(obs::Telemetry* telemetry) {
-  std::lock_guard lock(mutex_);
+  std::unique_lock lock(members_);
   if (telemetry == nullptr) {
     sent_counter_ = nullptr;
     delivered_counter_ = nullptr;
     dropped_counter_ = nullptr;
     retransmit_counter_ = nullptr;
     acks_sent_counter_ = nullptr;
+    refused_counter_ = nullptr;
     return;
   }
   auto& metrics = telemetry->metrics();
@@ -651,10 +798,11 @@ void UdpTransport::set_telemetry(obs::Telemetry* telemetry) {
   dropped_counter_ = &metrics.counter("lan.dropped");
   retransmit_counter_ = &metrics.counter("lan.retransmits");
   acks_sent_counter_ = &metrics.counter("lan.acks_sent");
+  refused_counter_ = &metrics.counter("lan.dedup_floor_refused");
 }
 
 std::uint16_t UdpTransport::endpoint_port(EndpointId endpoint) const {
-  std::lock_guard lock(mutex_);
+  std::shared_lock lock(members_);
   auto it = locals_.find(endpoint);
   AQUA_REQUIRE(it != locals_.end(), "endpoint_port needs a local endpoint");
   return it->second->port;

@@ -20,26 +20,44 @@ enum class BodyTag : std::uint8_t {
   kCancel = 8,
 };
 
+/// Adds up the bytes a Writer would write, so the buffer is sized once.
+class Sizer {
+ public:
+  void u8(std::uint8_t) { n_ += 1; }
+  void u32(std::uint32_t) { n_ += 4; }
+  void u64(std::uint64_t) { n_ += 8; }
+  void i64(std::int64_t) { n_ += 8; }
+  void duration(Duration) { n_ += 8; }
+  void str(const std::string& s) { n_ += 4 + s.size(); }
+
+  [[nodiscard]] std::size_t bytes() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
+/// Writes into a buffer a Sizer has already measured.
 class Writer {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
+  explicit Writer(std::uint8_t* out) : out_(out) {}
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
+  void u8(std::uint8_t v) { *out_++ = v; }
   void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    for (int i = 0; i < 4; ++i) *out_++ = static_cast<std::uint8_t>(v >> (8 * i));
   }
   void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    for (int i = 0; i < 8; ++i) *out_++ = static_cast<std::uint8_t>(v >> (8 * i));
   }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void duration(Duration d) { i64(count_us(d)); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
+    if (!s.empty()) std::memcpy(out_, s.data(), s.size());
+    out_ += s.size();
   }
 
  private:
-  std::vector<std::uint8_t>& out_;
+  std::uint8_t* out_;
 };
 
 class Reader {
@@ -89,7 +107,8 @@ class Reader {
   bool ok_ = true;
 };
 
-void write_perf(Writer& w, const proto::PerfData& perf) {
+template <typename W>
+void write_perf(W& w, const proto::PerfData& perf) {
   w.duration(perf.service_time);
   w.duration(perf.queuing_delay);
   w.i64(perf.queue_length);
@@ -105,37 +124,25 @@ proto::PerfData read_perf(Reader& r) {
   return perf;
 }
 
-}  // namespace
+/// The body tag of `payload`, or nullopt when the wire cannot carry it.
+std::optional<BodyTag> body_tag(const Payload& payload) {
+  if (payload.empty()) return BodyTag::kEmpty;
+  if (payload.get_if<proto::Request>() != nullptr) return BodyTag::kRequest;
+  if (payload.get_if<proto::Reply>() != nullptr) return BodyTag::kReply;
+  if (payload.get_if<proto::PerfUpdate>() != nullptr) return BodyTag::kPerfUpdate;
+  if (payload.get_if<proto::Subscribe>() != nullptr) return BodyTag::kSubscribe;
+  if (payload.get_if<proto::Announce>() != nullptr) return BodyTag::kAnnounce;
+  if (payload.get_if<proto::Cancel>() != nullptr) return BodyTag::kCancel;
+  if (payload.get_if<std::string>() != nullptr) return BodyTag::kText;
+  if (payload.get_if<std::int64_t>() != nullptr) return BodyTag::kInt64;
+  return std::nullopt;
+}
 
-bool encode_payload(const Payload& payload, std::vector<std::uint8_t>& out) {
-  out.clear();
-  Writer w(out);
+/// Writes the whole encoding through `w`: a Sizer or a Writer.
+template <typename W>
+void write_payload(W& w, const Payload& payload, BodyTag tag) {
   w.u32(kWireMagic);
   w.u8(kWireVersion);
-
-  BodyTag tag = BodyTag::kEmpty;
-  if (!payload.empty()) {
-    if (payload.get_if<proto::Request>() != nullptr) {
-      tag = BodyTag::kRequest;
-    } else if (payload.get_if<proto::Reply>() != nullptr) {
-      tag = BodyTag::kReply;
-    } else if (payload.get_if<proto::PerfUpdate>() != nullptr) {
-      tag = BodyTag::kPerfUpdate;
-    } else if (payload.get_if<proto::Subscribe>() != nullptr) {
-      tag = BodyTag::kSubscribe;
-    } else if (payload.get_if<proto::Announce>() != nullptr) {
-      tag = BodyTag::kAnnounce;
-    } else if (payload.get_if<proto::Cancel>() != nullptr) {
-      tag = BodyTag::kCancel;
-    } else if (payload.get_if<std::string>() != nullptr) {
-      tag = BodyTag::kText;
-    } else if (payload.get_if<std::int64_t>() != nullptr) {
-      tag = BodyTag::kInt64;
-    } else {
-      out.clear();
-      return false;
-    }
-  }
   w.u8(static_cast<std::uint8_t>(tag));
   w.i64(payload.wire_bytes());
 
@@ -203,6 +210,19 @@ bool encode_payload(const Payload& payload, std::vector<std::uint8_t>& out) {
       w.i64(*payload.get_if<std::int64_t>());
       break;
   }
+}
+
+}  // namespace
+
+bool encode_payload(const Payload& payload, std::vector<std::uint8_t>& out) {
+  out.clear();
+  const std::optional<BodyTag> tag = body_tag(payload);
+  if (!tag.has_value()) return false;
+  Sizer sizer;
+  write_payload(sizer, payload, *tag);
+  out.resize(sizer.bytes());
+  Writer writer(out.data());
+  write_payload(writer, payload, *tag);
   return true;
 }
 

@@ -34,8 +34,10 @@ inline constexpr std::uint32_t kWireMagic = 0x50575141;  // "AQWP" little-endian
 inline constexpr std::uint8_t kWireVersion = 3;
 
 /// Serialize `payload` (body + span stamp + declared size) into `out`
-/// (cleared first). Returns false when the body holds a type the wire
-/// format cannot carry — the caller should count a drop, not crash.
+/// (cleared first, then resized once to the encoding's length, so a
+/// reused buffer allocates nothing). Returns false when the body holds a
+/// type the wire format cannot carry — the caller should count a drop,
+/// not crash.
 bool encode_payload(const Payload& payload, std::vector<std::uint8_t>& out);
 
 /// Parse-back half of encode_payload. std::nullopt on a foreign magic,

@@ -11,13 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <array>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <algorithm>
@@ -588,6 +592,116 @@ TEST_F(UdpConformance, ParkedCallbackDoesNotMakeALivePeerLookDead) {
   EXPECT_EQ(udp.messages_dropped(), 0u);
   std::lock_guard lock(mutex);
   EXPECT_TRUE(transitions.empty());
+}
+
+TEST_F(UdpConformance, ConcurrentSendersAndADestroyKeepEveryMessageAccountedFor) {
+  // Four threads share one source endpoint. Each round, a thread unicasts
+  // and multicasts to two echo endpoints that reply to every message (so
+  // acks ride both ways) and to a doomed endpoint that a fifth thread
+  // destroys mid-run. Every message is delivered exactly once or, to the
+  // doomed endpoint only, counted as dropped; no host changes liveness.
+  // Default timers: a ~300 ms retransmit budget dwarfs any ack delay here.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 200;
+  constexpr int kRepliesPerRound = 4;
+  std::mutex mutex;
+  std::condition_variable replied;
+  std::vector<std::pair<HostId, bool>> transitions;
+  // (receiver, sender, id) -> deliveries
+  std::map<std::tuple<std::uint64_t, std::uint64_t, std::int64_t>, int> tally;
+  std::array<int, kThreads> replies{};
+  std::atomic<int> doomed_received{0};
+  std::array<std::atomic<std::uint64_t>, 2> echo_ids{};
+  std::atomic<std::uint64_t> source_id{0};
+  const auto note = [&](EndpointId at, EndpointId from, std::int64_t id) {
+    std::lock_guard lock(mutex);
+    ++tally[{at.value(), from.value(), id}];
+  };
+
+  UdpTransport udp;
+  udp.subscribe_host_state([&](HostId host, bool alive) {
+    std::lock_guard lock(mutex);
+    transitions.emplace_back(host, alive);
+  });
+  const EndpointId source = udp.create_endpoint(HostId{1}, [&](EndpointId from, const Payload& m) {
+    const std::int64_t reply = *m.get_if<std::int64_t>();
+    note(EndpointId{source_id.load()}, from, reply);
+    const std::int64_t id = -reply - 1;
+    {
+      std::lock_guard lock(mutex);
+      ++replies[static_cast<std::size_t>(id / kRepliesPerRound / kRounds)];
+    }
+    replied.notify_all();
+  });
+  source_id.store(source.value());
+  std::array<EndpointId, 2> echoes{};
+  for (std::size_t i = 0; i < echoes.size(); ++i) {
+    echoes[i] = udp.create_endpoint(HostId{2 + i}, [&, i](EndpointId from, const Payload& m) {
+      const std::int64_t id = *m.get_if<std::int64_t>();
+      const EndpointId self{echo_ids[i].load()};
+      note(self, from, id);
+      udp.unicast(self, from, Payload::make(std::int64_t{-id - 1}, 16));
+    });
+    echo_ids[i].store(echoes[i].value());
+  }
+  const EndpointId doomed =
+      udp.create_endpoint(HostId{9}, [&](EndpointId from, const Payload& m) {
+        note(EndpointId{0}, from, *m.get_if<std::int64_t>());
+        doomed_received.fetch_add(1);
+      });
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        const std::int64_t id = (static_cast<std::int64_t>(t) * kRounds + r) * kRepliesPerRound;
+        const std::array<EndpointId, 2> both_echoes = echoes;
+        const std::array<EndpointId, 2> echo_and_doomed{echoes[0], doomed};
+        udp.unicast(source, echoes[static_cast<std::size_t>(t % 2)],
+                    Payload::make(std::int64_t{id}, 16));
+        udp.multicast(source, both_echoes, Payload::make(std::int64_t{id + 1}, 16));
+        udp.unicast(source, doomed, Payload::make(std::int64_t{id + 2}, 16));
+        udp.multicast(source, echo_and_doomed, Payload::make(std::int64_t{id + 3}, 16));
+        // Closed loop: the round's four replies before the next round,
+        // so no socket buffer overflows into retransmits.
+        std::unique_lock lock(mutex);
+        ASSERT_TRUE(replied.wait_for(lock, std::chrono::seconds(10), [&] {
+          return replies[static_cast<std::size_t>(t)] >= (r + 1) * kRepliesPerRound;
+        }));
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (doomed_received.load() < kThreads * kRounds / 2) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::yield();
+    }
+    udp.destroy_endpoint(doomed);
+  });
+  for (std::thread& thread : threads) thread.join();
+
+  // Every DATA frame is either delivered or a counted drop.
+  ASSERT_TRUE(wait_for([&] {
+    return udp.messages_delivered() + udp.messages_dropped() == udp.messages_sent();
+  }));
+  const std::uint64_t to_doomed = 2 * kThreads * kRounds;
+  const std::uint64_t to_echoes = 4 * kThreads * kRounds;
+  std::lock_guard lock(mutex);
+  EXPECT_TRUE(transitions.empty());
+  std::uint64_t doomed_deliveries = 0;
+  for (const auto& [key, count] : tally) {
+    const auto& [receiver, sender, id] = key;
+    EXPECT_EQ(count, 1) << "receiver " << receiver << " sender " << sender << " id " << id;
+    if (receiver == 0) ++doomed_deliveries;
+  }
+  EXPECT_EQ(tally.size(), to_echoes + to_echoes + doomed_deliveries);  // + one reply per echo copy
+  EXPECT_EQ(udp.messages_sent(), to_echoes + to_doomed + to_echoes);
+  EXPECT_GT(doomed_deliveries, 0u);
+  EXPECT_LT(doomed_deliveries, to_doomed);  // destroyed mid-run
+  EXPECT_EQ(udp.messages_dropped(), to_doomed - doomed_deliveries);
+  EXPECT_EQ(udp.messages_delivered() + udp.messages_dropped(), udp.messages_sent());
+  EXPECT_EQ(udp.messages_refused_below_floor(), 0u);
 }
 
 TEST_F(UdpConformance, DestroySendsTheAcksItStillOwes) {

@@ -12,6 +12,10 @@
 //
 //  3. Frame version: a frame of another version (v1 had no ack list) is
 //     refused as a counted drop, never parsed as the current layout.
+//
+//  4. Silent refusals below the floor: a first-arriving frame below its
+//     source's prune floor was acked and then dropped with no count. It
+//     is refused as before, but counted apart from plain duplicates.
 #include "net/udp_transport.h"
 
 #include <arpa/inet.h>
@@ -30,6 +34,7 @@
 
 #include "net/payload.h"
 #include "net/wire.h"
+#include "obs/telemetry.h"
 
 namespace aqua::net {
 namespace {
@@ -167,6 +172,40 @@ TEST(UdpRegressionTest, VersionOneFrameIsRefusedAsACountedDrop) {
   EXPECT_EQ(udp.messages_delivered(), 1u);
   EXPECT_EQ(udp.messages_dropped(), 1u);
   EXPECT_EQ(udp.messages_queue_dropped(), 0u);
+}
+
+TEST(UdpRegressionTest, FirstArrivalBelowTheFloorIsCounted) {
+  UdpTransportConfig cfg;
+  cfg.dedup_capacity = 4;
+  cfg.dedup_window = 4;
+  obs::Telemetry telemetry;  // outlives the transport that counts into it
+  UdpTransport udp{cfg};
+  udp.set_telemetry(&telemetry);
+  std::atomic<std::size_t> delivered{0};
+  const EndpointId sink =
+      udp.create_endpoint(HostId{1}, [&](EndpointId, const Payload&) { delivered.fetch_add(1); });
+  const std::uint16_t port = udp.endpoint_port(sink);
+
+  RawSender sender;
+  // 2..9: the prune floor rises to max_seen - window = 5.
+  for (std::uint64_t seq = 2; seq <= 9; ++seq) sender.send_seq(port, seq);
+  ASSERT_TRUE(wait_for_count(delivered, 8));
+  // Seq 1 has never arrived, but it lies below the floor: refused.
+  sender.send_seq(port, 1);
+  sender.send_seq(port, 10);  // read after seq 1 on the same socket
+  ASSERT_TRUE(wait_for_count(delivered, 9));
+  EXPECT_EQ(udp.messages_refused_below_floor(), 1u);
+  EXPECT_EQ(telemetry.metrics().counter("lan.dedup_floor_refused").value(), 1u);
+
+  // A replay of a seq the set still holds is a plain duplicate.
+  sender.send_seq(port, 9);
+  sender.send_seq(port, 11);
+  ASSERT_TRUE(wait_for_count(delivered, 10));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(delivered.load(), 10u);
+  EXPECT_EQ(udp.messages_refused_below_floor(), 1u);
+  EXPECT_EQ(telemetry.metrics().counter("lan.dedup_floor_refused").value(), 1u);
+  EXPECT_EQ(udp.messages_dropped(), 0u);
 }
 
 }  // namespace

@@ -85,6 +85,13 @@ grep -o '"metric":"udp_datagrams_per_roundtrip","value":[0-9.e+-]*' \
   build/bench/BENCH_transport.json | cut -d: -f3 |
   awk '{exit !($1 <= 2.5)}' ||
   { echo "FAIL: udp_datagrams_per_roundtrip above 2.5"; exit 1; }
+# Allocation budget for the wire, counted on every thread: a ping-pong
+# reads 10.02 (the transport's one frame buffer per DATA frame, plus the
+# payloads both sides build and decode). Later changes may only lower it.
+grep -o '"metric":"udp_allocs_per_roundtrip","value":[0-9.e+-]*' \
+  build/bench/BENCH_transport.json | cut -d: -f3 |
+  awk '{exit !($1 <= 10.05)}' ||
+  { echo "FAIL: udp_allocs_per_roundtrip above 10.05"; exit 1; }
 # A threaded replica serves queued copies back to back at its service
 # model's rate: its worker's wake-up and reply send must not delay the
 # next copy. Release only; sanitizer overheads would dominate.
