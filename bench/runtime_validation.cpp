@@ -24,8 +24,7 @@ int main() {
     for (std::int64_t deadline_ms : {15, 18, 22, 26}) {
       ThreadedSystemConfig cfg;
       cfg.seed = 42;
-      cfg.net.base = usec(300);
-      cfg.net.jitter_max = usec(200);
+      cfg.net = net::in_process_lan(usec(300), usec(100));
       ThreadedSystem system{cfg};
       for (int i = 0; i < 5; ++i) {
         system.add_replica(stats::make_truncated_normal(msec(10), msec(5)));

@@ -17,7 +17,7 @@
 //
 // replica_batch_pacing is the threaded replica's service rate: the wall
 // time of kBatch copies queued at once on one runtime::ThreadedReplica
-// over the in-process transport, divided by kBatch draws. A FIFO server
+// over a zero-delay Lan on the wall clock, divided by kBatch draws. A FIFO server
 // that starts each copy the instant the one before it ends reads 1.0;
 // worker wake-up lateness and reply sends that delay the next copy push
 // it up. CI keeps all of them in BENCH_transport.json so a regression in
@@ -39,7 +39,7 @@
 #include "net/lan.h"
 #include "net/udp_transport.h"
 #include "replica/service_model.h"
-#include "runtime/local_transport.h"
+#include "runtime/delayed_executor.h"
 #include "runtime/threaded_replica.h"
 #include "sim/simulator.h"
 #include "stats/variates.h"
@@ -213,10 +213,8 @@ double replica_batch_pacing() {
     std::mutex mutex;
     std::condition_variable cv;
     int replies = 0;
-    runtime::NetDelayModel no_delay;
-    no_delay.base = Duration::zero();
-    no_delay.jitter_max = Duration::zero();
-    runtime::LocalTransport transport{no_delay, Rng{1}};
+    runtime::DelayedExecutor executor;
+    net::Lan transport{executor, Rng{1}, net::in_process_lan(Duration::zero(), Duration::zero())};
     const EndpointId client =
         transport.create_endpoint(HostId{2}, [&](EndpointId, const net::Payload&) {
           std::lock_guard lock(mutex);
@@ -236,6 +234,7 @@ double replica_batch_pacing() {
     const auto elapsed = std::chrono::steady_clock::now() - start;
     ratio = std::chrono::duration<double, std::micro>(elapsed).count() /
             static_cast<double>(kBatch * count_us(kDraw));
+    executor.shutdown();  // no delivery may run on the Lan once it is gone
   }
   std::sort(ratios.begin(), ratios.end());
   return ratios[1];

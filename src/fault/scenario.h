@@ -18,8 +18,20 @@
 
 #include "common/time.h"
 #include "core/qos.h"
+#include "stats/variates.h"
 
 namespace aqua::fault {
+
+/// Wiring a runner cannot reach through the system facade: the
+/// per-replica load-modulation blocks. Entry i belongs to the replica
+/// added i-th; the test builds each replica's service model through
+/// replica::make_modulated_service (stats::make_modulated_sampler on the
+/// threaded runtime) with the matching block. A missing or null entry
+/// makes load ramps on that replica "unsupported" (recorded in the
+/// timeline, never fatal).
+struct ScenarioHooks {
+  std::vector<stats::LoadModulationPtr> replica_load;
+};
 
 enum class ActionKind {
   /// Force a LAN spike window: every message delay is multiplied by

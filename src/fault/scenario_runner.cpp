@@ -1,6 +1,5 @@
 #include "fault/scenario_runner.h"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -25,7 +24,7 @@ ScenarioRunner::ScenarioRunner(gateway::AquaSystem& system, ScenarioScript scrip
     : system_(system),
       script_(std::move(script)),
       hooks_(std::move(hooks)),
-      filter_rng_(Rng{seed}.fork("fault-filter")) {}
+      lan_windows_(system.lan(), script_, seed) {}
 
 void ScenarioRunner::install() {
   if (installed_) return;
@@ -50,24 +49,6 @@ void ScenarioRunner::install() {
       out << "client=" << i << " timely_fraction=" << fraction;
       note("qos_violation", out.str());
     });
-  }
-
-  // The single message filter consults the window counters; its coin
-  // flips come from the runner's own stream so the Lan's draws are
-  // untouched (determinism discipline).
-  const bool needs_filter = std::any_of(
-      script_.actions.begin(), script_.actions.end(), [](const ScenarioAction& action) {
-        return action.kind == ActionKind::kDropMessages ||
-               action.kind == ActionKind::kDelayMessages;
-      });
-  if (needs_filter) {
-    system_.lan().set_message_filter(
-        [this](EndpointId /*from*/, EndpointId /*to*/, const net::Payload& /*message*/) {
-          net::FilterVerdict verdict;
-          if (drop_windows_ > 0 && filter_rng_.bernoulli(drop_probability_)) verdict.drop = true;
-          if (delay_windows_ > 0) verdict.extra_delay = extra_delay_;
-          return verdict;
-        });
   }
 
   sim::Simulator& sim = system_.simulator();
@@ -103,8 +84,9 @@ bool ScenarioRunner::run(Duration max_time, Duration poll) {
 void ScenarioRunner::apply(const ScenarioAction& action) {
   switch (action.kind) {
     case ActionKind::kLanSpike:
-      ++spike_windows_;
-      system_.lan().force_spike(action.factor);
+    case ActionKind::kDropMessages:
+    case ActionKind::kDelayMessages:
+      lan_windows_.open(action);
       break;
     case ActionKind::kLoadRamp:
       if (action.target >= hooks_.replica_load.size() || !hooks_.replica_load[action.target]) {
@@ -135,14 +117,6 @@ void ScenarioRunner::apply(const ScenarioAction& action) {
       replicas[action.target]->restart();
       break;
     }
-    case ActionKind::kDropMessages:
-      ++drop_windows_;
-      drop_probability_ = action.factor;
-      break;
-    case ActionKind::kDelayMessages:
-      ++delay_windows_;
-      extra_delay_ = action.extra_delay;
-      break;
     case ActionKind::kQueueBurst:
       send_burst(action);
       return;  // send_burst records its own timeline entry
@@ -162,22 +136,9 @@ void ScenarioRunner::apply(const ScenarioAction& action) {
 void ScenarioRunner::end_window(const ScenarioAction& action) {
   switch (action.kind) {
     case ActionKind::kLanSpike:
-      if (--spike_windows_ <= 0) {
-        spike_windows_ = 0;
-        system_.lan().clear_forced_spike();
-      }
-      break;
     case ActionKind::kDropMessages:
-      if (--drop_windows_ <= 0) {
-        drop_windows_ = 0;
-        drop_probability_ = 0.0;
-      }
-      break;
     case ActionKind::kDelayMessages:
-      if (--delay_windows_ <= 0) {
-        delay_windows_ = 0;
-        extra_delay_ = Duration::zero();
-      }
+      lan_windows_.close(action);
       break;
     case ActionKind::kLoadRamp:
       if (action.target < hooks_.replica_load.size() && hooks_.replica_load[action.target]) {

@@ -17,23 +17,12 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
+#include "fault/lan_windows.h"
 #include "fault/scenario.h"
 #include "gateway/system.h"
-#include "stats/variates.h"
 #include "trace/timeline.h"
 
 namespace aqua::fault {
-
-/// Wiring the runner cannot reach through the system facade: the
-/// per-replica load-modulation blocks. Entry i belongs to the replica
-/// added i-th; the test builds each replica's service model through
-/// replica::make_modulated_service with the matching block. A missing or
-/// null entry makes load ramps on that replica "unsupported" (recorded in
-/// the timeline, never fatal).
-struct ScenarioHooks {
-  std::vector<stats::LoadModulationPtr> replica_load;
-};
 
 class ScenarioRunner {
  public:
@@ -74,18 +63,10 @@ class ScenarioRunner {
   gateway::AquaSystem& system_;
   ScenarioScript script_;
   ScenarioHooks hooks_;
-  Rng filter_rng_;
+  LanWindows lan_windows_;
   trace::Timeline timeline_;
   bool installed_ = false;
   std::size_t unsupported_ = 0;
-
-  // Message-filter window state (counters tolerate overlapping windows;
-  // the most recently opened window's parameters win).
-  int drop_windows_ = 0;
-  double drop_probability_ = 0.0;
-  int delay_windows_ = 0;
-  Duration extra_delay_{};
-  int spike_windows_ = 0;
 
   // Chaos endpoint for queue bursts (created lazily on its own host).
   EndpointId chaos_endpoint_{};

@@ -1,6 +1,5 @@
 #include "fault/threaded_runner.h"
 
-#include <sstream>
 #include <utility>
 
 #include "common/assert.h"
@@ -8,19 +7,22 @@
 namespace aqua::fault {
 
 ThreadedScenarioRunner::ThreadedScenarioRunner(runtime::ThreadedSystem& system,
-                                               ScenarioScript script,
-                                               ThreadedScenarioHooks hooks)
-    : system_(system), script_(std::move(script)), hooks_(std::move(hooks)) {}
+                                               ScenarioScript script, ScenarioHooks hooks,
+                                               std::uint64_t seed)
+    : system_(system),
+      script_(std::move(script)),
+      hooks_(std::move(hooks)),
+      lan_windows_(system.lan(), script_, seed) {}
 
 void ThreadedScenarioRunner::start() {
   AQUA_REQUIRE(!started_, "scenario already started");
   script_.validate();
   started_ = true;
-  started_at_ = std::chrono::steady_clock::now();
+  started_at_ = executor_.now();
 
   const auto windowed = [](const ScenarioAction& action) {
-    return action.kind == ActionKind::kLanSpike || action.kind == ActionKind::kDelayMessages ||
-           action.kind == ActionKind::kLoadRamp;
+    return action.kind == ActionKind::kLanSpike || action.kind == ActionKind::kDropMessages ||
+           action.kind == ActionKind::kDelayMessages || action.kind == ActionKind::kLoadRamp;
   };
 
   // Count before posting: a zero-offset action can fire on the executor
@@ -36,9 +38,10 @@ void ThreadedScenarioRunner::start() {
   }
 
   for (const ScenarioAction& action : script_.actions) {
-    executor_.post_after(action.at, [this, action] { apply(action); });
+    executor_.run_at(started_at_ + action.at, [this, action] { apply(action); });
     if (windowed(action)) {
-      executor_.post_after(action.at + action.duration, [this, action] { end_window(action); });
+      executor_.run_at(started_at_ + action.at + action.duration,
+                       [this, action] { end_window(action); });
     }
   }
 }
@@ -59,73 +62,42 @@ std::size_t ThreadedScenarioRunner::unsupported_actions() const {
 }
 
 void ThreadedScenarioRunner::apply(const ScenarioAction& action) {
+  const auto unsupported = [&](const char* why) {
+    std::lock_guard lock(mutex_);
+    ++unsupported_;
+    note("unsupported", action.describe() + " (" + why + ")");
+    finished_one();
+  };
   switch (action.kind) {
-    case ActionKind::kLanSpike: {
-      if (!hooks_.net) {
-        std::lock_guard lock(mutex_);
-        unsupported_locked(action, "no net modulation hook");
-        finished_one();
-        return;
-      }
-      {
-        std::lock_guard lock(mutex_);
-        ++spike_windows_;
-      }
-      hooks_.net->set_factor(action.factor);
+    case ActionKind::kLanSpike:
+    case ActionKind::kDropMessages:
+    case ActionKind::kDelayMessages:
+      lan_windows_.open(action);
       break;
-    }
-    case ActionKind::kDelayMessages: {
-      if (!hooks_.net) {
-        std::lock_guard lock(mutex_);
-        unsupported_locked(action, "no net modulation hook");
-        finished_one();
-        return;
-      }
-      {
-        std::lock_guard lock(mutex_);
-        ++delay_windows_;
-      }
-      hooks_.net->set_extra(action.extra_delay);
-      break;
-    }
-    case ActionKind::kLoadRamp: {
+    case ActionKind::kLoadRamp:
       if (action.target >= hooks_.replica_load.size() || !hooks_.replica_load[action.target]) {
-        std::lock_guard lock(mutex_);
-        unsupported_locked(action, "no load hook for replica");
-        finished_one();
-        return;
+        return unsupported("no load hook for replica");
       }
       // The wall-clock runner applies the peak immediately (the stepped
       // interpolation is a simulation nicety; what the chaos test needs
       // is "this replica got slow, then recovered").
       hooks_.replica_load[action.target]->set_factor(action.factor);
       break;
-    }
     case ActionKind::kCrashReplica: {
       const std::vector<runtime::ThreadedReplica*> replicas = system_.replicas();
-      if (action.target >= replicas.size()) {
-        std::lock_guard lock(mutex_);
-        unsupported_locked(action, "replica index out of range");
-        finished_one();
-        return;
-      }
+      if (action.target >= replicas.size()) return unsupported("replica index out of range");
       runtime::ThreadedReplica* replica = replicas[action.target];
       replica->crash();
-      // The runtime has no failure detector; the runner plays that role
-      // and delivers the "view change" to every client.
-      for (runtime::ThreadedClient* client : system_.clients()) {
-        client->remove_replica(replica->id());
-      }
+      // The host goes down with it: the Lan drops its traffic and tells
+      // the clients, which evict the replica as the failure detector
+      // would have them.
+      net::Lan& lan = system_.lan();
+      lan.set_host_alive(lan.endpoint_host(replica->endpoint()), false);
       break;
     }
     case ActionKind::kQueueBurst: {
       const std::vector<runtime::ThreadedReplica*> replicas = system_.replicas();
-      if (action.target >= replicas.size()) {
-        std::lock_guard lock(mutex_);
-        unsupported_locked(action, "replica index out of range");
-        finished_one();
-        return;
-      }
+      if (action.target >= replicas.size()) return unsupported("replica index out of range");
       for (std::size_t i = 0; i < action.count; ++i) {
         proto::Request request;
         request.id = RequestId{(std::uint64_t{1} << 40) + i};
@@ -137,27 +109,12 @@ void ThreadedScenarioRunner::apply(const ScenarioAction& action) {
     }
     case ActionKind::kRenegotiateQos: {
       const std::vector<runtime::ThreadedClient*> clients = system_.clients();
-      if (action.target >= clients.size()) {
-        std::lock_guard lock(mutex_);
-        unsupported_locked(action, "client index out of range");
-        finished_one();
-        return;
-      }
+      if (action.target >= clients.size()) return unsupported("client index out of range");
       clients[action.target]->set_qos(action.qos);
       break;
     }
-    case ActionKind::kRestartReplica: {
-      std::lock_guard lock(mutex_);
-      unsupported_locked(action, "threaded replicas cannot restart");
-      finished_one();
-      return;
-    }
-    case ActionKind::kDropMessages: {
-      std::lock_guard lock(mutex_);
-      unsupported_locked(action, "threaded transport has no drop filter");
-      finished_one();
-      return;
-    }
+    case ActionKind::kRestartReplica:
+      return unsupported("threaded replicas cannot restart");
   }
   std::lock_guard lock(mutex_);
   note("fault", action.describe());
@@ -165,55 +122,28 @@ void ThreadedScenarioRunner::apply(const ScenarioAction& action) {
 }
 
 void ThreadedScenarioRunner::end_window(const ScenarioAction& action) {
-  bool noted = false;
+  bool noted = true;
   switch (action.kind) {
     case ActionKind::kLanSpike:
-      if (hooks_.net) {
-        std::lock_guard lock(mutex_);
-        if (--spike_windows_ <= 0) {
-          spike_windows_ = 0;
-          hooks_.net->set_factor(1.0);
-        }
-        note("fault_end", to_string(action.kind));
-        noted = true;
-      }
-      break;
+    case ActionKind::kDropMessages:
     case ActionKind::kDelayMessages:
-      if (hooks_.net) {
-        std::lock_guard lock(mutex_);
-        if (--delay_windows_ <= 0) {
-          delay_windows_ = 0;
-          hooks_.net->set_extra(Duration::zero());
-        }
-        note("fault_end", to_string(action.kind));
-        noted = true;
-      }
+      lan_windows_.close(action);
       break;
     case ActionKind::kLoadRamp:
-      if (action.target < hooks_.replica_load.size() && hooks_.replica_load[action.target]) {
-        hooks_.replica_load[action.target]->reset();
-        std::lock_guard lock(mutex_);
-        note("fault_end", to_string(action.kind));
-        noted = true;
-      }
+      noted = action.target < hooks_.replica_load.size() && hooks_.replica_load[action.target];
+      if (noted) hooks_.replica_load[action.target]->reset();
       break;
     default:
+      noted = false;
       break;
   }
   std::lock_guard lock(mutex_);
-  (void)noted;
+  if (noted) note("fault_end", to_string(action.kind));
   finished_one();
 }
 
 void ThreadedScenarioRunner::note(const char* kind, std::string detail) {
-  const auto elapsed = std::chrono::duration_cast<Duration>(std::chrono::steady_clock::now() -
-                                                            started_at_);
-  timeline_.add(TimePoint{elapsed}, kind, std::move(detail));
-}
-
-void ThreadedScenarioRunner::unsupported_locked(const ScenarioAction& action, const char* why) {
-  ++unsupported_;
-  note("unsupported", action.describe() + " (" + why + ")");
+  timeline_.add(TimePoint{executor_.now() - started_at_}, kind, std::move(detail));
 }
 
 void ThreadedScenarioRunner::finished_one() {

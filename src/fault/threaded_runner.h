@@ -1,15 +1,16 @@
 // Executes a ScenarioScript against the threaded wall-clock runtime.
 //
 // Same script format as the simulated ScenarioRunner, scheduled on a
-// DelayedExecutor against the real clock instead of the simulator: LAN
-// spikes and delay windows retune the LocalTransport's LoadModulation,
-// load ramps retune per-replica sampler modulation blocks, crashes kill
-// the replica worker and withdraw it from every client, queue bursts
-// submit background requests, QoS renegotiation calls set_qos. Actions a
-// threaded deployment cannot express (process restart, probabilistic
-// message drop — LocalTransport has no drop filter) are recorded as
-// unsupported rather than silently skipped, so a test can assert exactly
-// which subset ran.
+// DelayedExecutor against the real clock instead of the simulator, and
+// applied through the same net::Lan hooks (LanWindows), since the
+// threaded system's own Lan runs on the wall clock: LAN spikes force a
+// spike window, drop and delay windows go through the Lan's message
+// filter, and a crash kills the replica worker and its host, so every
+// client evicts it through the Lan's host-state notice. Load ramps retune
+// per-replica sampler modulation blocks, queue bursts submit background
+// requests, QoS renegotiation calls set_qos. What a threaded deployment
+// cannot express (process restart) is recorded as unsupported rather
+// than silently skipped, so a test can assert exactly which subset ran.
 //
 // Timelines here are NOT bit-reproducible (real scheduling), but the
 // recorded set of applied actions is; the chaos tests assert on that and
@@ -18,34 +19,23 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
+#include "fault/lan_windows.h"
 #include "fault/scenario.h"
 #include "runtime/delayed_executor.h"
 #include "runtime/threaded_system.h"
-#include "stats/variates.h"
 #include "trace/timeline.h"
 
 namespace aqua::fault {
 
-/// Control blocks the runner retunes; the test wires them into the system
-/// before building it (ThreadedSystemConfig::net.modulation, and each
-/// replica's sampler through stats::make_modulated_sampler).
-struct ThreadedScenarioHooks {
-  /// The LocalTransport's delay modulation; spike windows scale it,
-  /// delay windows add to it.
-  stats::LoadModulationPtr net;
-  /// Entry i belongs to the replica added i-th.
-  std::vector<stats::LoadModulationPtr> replica_load;
-};
-
 class ThreadedScenarioRunner {
  public:
+  /// `system` must run on its own Lan (no config.transport). `seed` feeds
+  /// the message filter's coin flips, as in ScenarioRunner.
   ThreadedScenarioRunner(runtime::ThreadedSystem& system, ScenarioScript script,
-                         ThreadedScenarioHooks hooks);
+                         ScenarioHooks hooks, std::uint64_t seed = 1);
 
   ThreadedScenarioRunner(const ThreadedScenarioRunner&) = delete;
   ThreadedScenarioRunner& operator=(const ThreadedScenarioRunner&) = delete;
@@ -68,23 +58,24 @@ class ThreadedScenarioRunner {
   void apply(const ScenarioAction& action);
   void end_window(const ScenarioAction& action);
   void note(const char* kind, std::string detail);
-  void unsupported_locked(const ScenarioAction& action, const char* why);
   void finished_one();
 
   runtime::ThreadedSystem& system_;
   ScenarioScript script_;
-  ThreadedScenarioHooks hooks_;
-  runtime::DelayedExecutor executor_;
-  std::chrono::steady_clock::time_point started_at_{};
+  ScenarioHooks hooks_;
+  LanWindows lan_windows_;
+  TimePoint started_at_{};
   bool started_ = false;
 
-  mutable std::mutex mutex_;  // guards timeline_, counters, window state
+  mutable std::mutex mutex_;  // guards timeline_, counters
   std::condition_variable done_cv_;
   std::size_t outstanding_ = 0;
   trace::Timeline timeline_;
   std::size_t unsupported_ = 0;
-  int spike_windows_ = 0;
-  int delay_windows_ = 0;
+
+  /// Declared last, so its thread starts after and stops before the
+  /// state its tasks touch.
+  runtime::DelayedExecutor executor_;
 };
 
 }  // namespace aqua::fault

@@ -1,11 +1,14 @@
 // Message-transport abstraction: the boundary every gateway speaks over.
 //
 // The paper's handlers run in client and server gateways joined by a real
-// LAN (Maestro/Ensemble); this reproduction grows two interchangeable
-// substrates behind one interface:
+// LAN (Maestro/Ensemble); this reproduction has two backends behind one
+// interface:
 //
-//  - net::Lan         discrete-event simulated LAN (deterministic, the
-//                      substrate of every seeded experiment);
+//  - net::Lan          modelled delays, loss, spikes and host crash, on
+//                      simulated time (sim::Simulator, the deterministic
+//                      substrate of every seeded experiment) or the wall
+//                      clock (runtime::DelayedExecutor, the threaded
+//                      runtime's in-process network);
 //  - net::UdpTransport real kernel UDP sockets with a versioned wire
 //                      format, so gateway and replica processes can run
 //                      separately and T_i reflects actual wire behaviour.
@@ -31,16 +34,17 @@ class Telemetry;
 
 namespace aqua::net {
 
-/// Invoked on delivery: sender endpoint and the message. Runs inside
-/// simulator events (sim backend), on the executor thread (in-process
-/// LocalTransport) or inline on the receiving endpoint's own receive
-/// thread (UDP backend).
+/// Invoked on delivery: sender endpoint and the message. Runs on the
+/// Lan's scheduler thread (inside simulator events on simulated time, on
+/// the executor thread on the wall clock) or inline on the receiving
+/// endpoint's own receive thread (UDP backend).
 using ReceiveFn = std::function<void(EndpointId from, const Payload& message)>;
 
 /// Invoked when a host changes liveness (false = crashed / stopped
-/// acking). The UDP backend notifies from its timer thread when the
-/// retransmit budget runs out, and from a receive thread when a later
-/// frame shows the host alive again.
+/// acking). The Lan notifies from whichever thread calls set_host_alive.
+/// The UDP backend notifies from its timer thread when the retransmit
+/// budget runs out, and from a receive thread when a later frame shows
+/// the host alive again.
 using HostStateFn = std::function<void(HostId host, bool alive)>;
 
 class Transport {

@@ -1,17 +1,14 @@
 // Periodic snapshot flusher.
 //
-// Drives a flush callback on either time base:
-//  - start_sim: the simulator clock via sim::PeriodicTask — flushes are
-//    ordinary simulation events, so a seeded run flushes at bit-identical
-//    sim times every run (tests/obs_flusher_test pins this);
-//  - start_wall: the wall clock via runtime::DelayedExecutor — the
-//    threaded runtime's monitoring loop.
+// Drives a flush callback through a sim::PeriodicTask on either clock of
+// a Scheduler: on sim::Simulator flushes are ordinary simulation events,
+// so a seeded run flushes at bit-identical sim times every run
+// (tests/obs_flusher_test pins this); on runtime::DelayedExecutor they
+// run on the executor's thread, the threaded runtime's monitoring loop.
 //
 // Header-only on purpose: aqua_obs itself links only common/stats/trace
-// (the layers below core). Pulling in sim::Simulator or
-// runtime::DelayedExecutor here would invert the dependency stack, so
-// the flusher is a template-free inline class and the *caller* (a bench,
-// tool, or test that already links sim/runtime) provides the clock.
+// (the layers below core), so the *caller* (a bench, tool, or test that
+// already links sim/runtime) provides the clock.
 //
 // The callback decides what a "flush" means — typically serializing
 // obs::write_metrics_json / write_snapshot_json to a stream. The flusher
@@ -25,8 +22,8 @@
 #include <utility>
 
 #include "common/assert.h"
+#include "common/scheduler.h"
 #include "common/time.h"
-#include "runtime/delayed_executor.h"
 #include "sim/periodic.h"
 
 namespace aqua::obs {
@@ -41,69 +38,30 @@ class SnapshotFlusher {
   SnapshotFlusher& operator=(const SnapshotFlusher&) = delete;
   ~SnapshotFlusher() { stop(); }
 
-  /// Flush every `period` of simulated time, first flush after `period`.
-  void start_sim(sim::Simulator& simulator, Duration period, FlushFn flush) {
+  /// Flush every `period` on the scheduler's clock, first flush after
+  /// `period`. Stops when stop() is called, the flusher is destroyed, or
+  /// the scheduler stops running tasks. On a DelayedExecutor one flush in
+  /// progress may still finish after stop() returns; the executor's
+  /// shutdown() joins it.
+  void start(Scheduler& scheduler, Duration period, FlushFn flush) {
     AQUA_REQUIRE(flush != nullptr, "flush callback must be callable");
     stop();
     count_ = std::make_shared<std::atomic<std::size_t>>(0);
-    auto count = count_;
-    sim_task_.start(simulator, period, period,
-                    [count, flush = std::move(flush)] {
-                      flush(count->fetch_add(1, std::memory_order_relaxed));
-                    });
+    task_.start(scheduler, period, period, [count = count_, flush = std::move(flush)] {
+      flush(count->fetch_add(1, std::memory_order_relaxed));
+    });
   }
 
-  /// Flush every `period` of wall-clock time on the executor's worker
-  /// thread. Stops when stop() is called, the flusher is destroyed, or
-  /// the executor starts shutting down (post_after returns false). One
-  /// in-flight flush may still run after stop() returns; the executor's
-  /// own shutdown() joins it.
-  void start_wall(runtime::DelayedExecutor& executor, Duration period, FlushFn flush) {
-    AQUA_REQUIRE(period > Duration::zero(), "flush period must be positive");
-    AQUA_REQUIRE(flush != nullptr, "flush callback must be callable");
-    stop();
-    count_ = std::make_shared<std::atomic<std::size_t>>(0);
-    wall_state_ = std::make_shared<WallState>();
-    wall_state_->executor = &executor;
-    wall_state_->period = period;
-    wall_state_->flush = std::move(flush);
-    wall_state_->count = count_;
-    schedule_wall(wall_state_);
-  }
+  /// Prevent further flushes. Idempotent.
+  void stop() { task_.stop(); }
 
-  /// Prevent further flushes on either time base. Idempotent.
-  void stop() {
-    sim_task_.stop();
-    if (wall_state_) {
-      wall_state_->stopped.store(true, std::memory_order_relaxed);
-      wall_state_.reset();
-    }
-  }
-
-  /// Flushes fired so far under the current start_* call.
+  /// Flushes fired so far under the current start() call.
   [[nodiscard]] std::size_t flushes() const {
     return count_ ? count_->load(std::memory_order_relaxed) : 0;
   }
 
  private:
-  struct WallState {
-    runtime::DelayedExecutor* executor = nullptr;
-    Duration period{};
-    FlushFn flush;
-    std::shared_ptr<std::atomic<std::size_t>> count;
-    std::atomic<bool> stopped{false};
-  };
-
-  static void schedule_wall(const std::shared_ptr<WallState>& state) {
-    state->executor->post_after(state->period, [state] {
-      if (state->stopped.load(std::memory_order_relaxed)) return;
-      state->flush(state->count->fetch_add(1, std::memory_order_relaxed));
-      if (!state->stopped.load(std::memory_order_relaxed)) schedule_wall(state);
-    });
-  }
-
-  sim::PeriodicTask sim_task_;
-  std::shared_ptr<WallState> wall_state_;
+  sim::PeriodicTask task_;
   std::shared_ptr<std::atomic<std::size_t>> count_;
 };
 

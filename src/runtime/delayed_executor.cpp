@@ -9,13 +9,12 @@ DelayedExecutor::DelayedExecutor() : thread_([this] { worker(); }) {}
 
 DelayedExecutor::~DelayedExecutor() { shutdown(); }
 
-bool DelayedExecutor::post_after(std::chrono::microseconds delay, Task task) {
-  AQUA_REQUIRE(delay >= std::chrono::microseconds::zero(), "delay must be non-negative");
+bool DelayedExecutor::run_at(TimePoint at, Task task) {
   AQUA_REQUIRE(task != nullptr, "task must be callable");
   {
     std::lock_guard lock(mutex_);
     if (stopping_) return false;
-    tasks_.push(Entry{Clock::now() + delay, next_seq_++, std::move(task)});
+    tasks_.push(Entry{to_steady(at), next_seq_++, std::move(task)});
   }
   cv_.notify_one();
   return true;

@@ -2,24 +2,25 @@
 //
 // Plays the role the event queue plays in the simulation: "network"
 // delays in the threaded runtime are tasks posted with a deadline. One
-// worker thread pops tasks in deadline order and runs them.
+// worker thread pops tasks in deadline order and runs them. As a
+// Scheduler on steady_now() it is the wall clock a net::Lan runs on.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <queue>
 #include <thread>
 #include <vector>
 
+#include "common/scheduler.h"
+
 namespace aqua::runtime {
 
-class DelayedExecutor {
+class DelayedExecutor final : public Scheduler {
  public:
   using Clock = std::chrono::steady_clock;
-  using Task = std::function<void()>;
 
   DelayedExecutor();
   ~DelayedExecutor();
@@ -27,9 +28,11 @@ class DelayedExecutor {
   DelayedExecutor(const DelayedExecutor&) = delete;
   DelayedExecutor& operator=(const DelayedExecutor&) = delete;
 
-  /// Run `task` after `delay` (>= 0) on the executor thread. Returns
-  /// false if the executor is shutting down.
-  bool post_after(std::chrono::microseconds delay, Task task);
+  /// Scheduler on steady_now(): run `task` at `at` on the executor
+  /// thread (at once if `at` has passed). Returns false if the executor
+  /// is shutting down.
+  [[nodiscard]] TimePoint now() const override { return steady_now(); }
+  bool run_at(TimePoint at, Task task) override;
 
   /// Stop accepting tasks, discard pending ones, join the thread.
   void shutdown();

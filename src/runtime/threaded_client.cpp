@@ -13,9 +13,9 @@ namespace {
 core::EngineConfig engine_config(const ThreadedClientConfig& config) {
   core::EngineConfig engine;
   engine.repository = config.repository;
-  // The threaded runtime always guards against stale samples: UDP (and
-  // LocalTransport's jittered in-process hops) can reorder replies, and
-  // unlike the sim there is no bit-identity contract to preserve.
+  // The threaded runtime always guards against stale samples: UDP can
+  // reorder replies, and unlike the sim there is no bit-identity contract
+  // to preserve.
   engine.repository.reject_stale_samples = true;
   engine.selection = config.selection;
   engine.model = config.model;

@@ -1,6 +1,6 @@
 // Wall-clock client handler: the threaded driver of core::RequestEngine,
-// over a net::Transport (LocalTransport in process, UdpTransport across
-// processes), with delta measured from the REAL wall clock as in the
+// over a net::Transport (a wall-clock net::Lan in process, UdpTransport
+// across processes), with delta measured from the REAL wall clock as in the
 // paper's implementation. invoke() blocks until the completing reply or
 // a give-up timeout. No thread of its own runs the engine's timers: a
 // blocked invoke() sleeps until its delivery or the engine's next timer,

@@ -98,7 +98,7 @@ void ThreadedReplica::worker() {
     replica::ReplicaCore::Finished done = core_.finish();
     lock.unlock();
     const TimePoint departure = steady_now();
-    // LocalTransport and UdpTransport accept sends from any thread.
+    // The wall-clock Lan and UdpTransport accept sends from any thread.
     if (done.reply_to != EndpointId{}) {
       transport_.unicast(endpoint_, done.reply_to, std::move(done.reply));
     }

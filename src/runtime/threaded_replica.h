@@ -13,7 +13,7 @@
 // handle: an endpoint id inside a message means nothing outside its own
 // process. A crashed replica stops answering; over UDP the client's
 // retransmit budget then reports the host dead, the same liveness edge
-// the sim Lan raises.
+// a Lan raises when the replica's host is set dead.
 #pragma once
 
 #include <atomic>

@@ -12,8 +12,9 @@ namespace aqua::runtime {
 ThreadedSystem::ThreadedSystem(ThreadedSystemConfig config)
     : config_(config), rng_(config.seed) {
   if (config_.transport == nullptr) {
-    local_transport_ = std::make_unique<LocalTransport>(config_.net, rng_.fork("net"));
-    config_.transport = local_transport_.get();
+    executor_ = std::make_unique<DelayedExecutor>();
+    lan_ = std::make_unique<net::Lan>(*executor_, rng_.fork("net"), config_.net);
+    config_.transport = lan_.get();
   }
   if (config_.client.telemetry == nullptr) config_.client.telemetry = config_.telemetry;
   if (config_.scrape_port >= 0 && config_.client.telemetry != nullptr) {
@@ -28,7 +29,7 @@ ThreadedSystem::~ThreadedSystem() {
   // be recorded. Then replica endpoints (no message can reach a worker),
   // then replica workers (an in-flight reply degrades to a counted
   // transport drop and still finds the clients alive), then the clients,
-  // and last an owned transport.
+  // and last an owned executor and Lan.
   scrape_.reset();
   for (auto& client : clients_) client->shutdown();
   for (auto& replica : replicas_) replica->shutdown();
@@ -63,6 +64,11 @@ ThreadedClient& ThreadedSystem::add_client(core::QosSpec qos) {
     clients_.back()->add_peer_replica(replica->id(), replica->endpoint());
   }
   return *clients_.back();
+}
+
+net::Lan& ThreadedSystem::lan() {
+  AQUA_REQUIRE(lan_ != nullptr, "the system runs over an external transport, not its own Lan");
+  return *lan_;
 }
 
 std::vector<ThreadedReplica*> ThreadedSystem::replicas() {

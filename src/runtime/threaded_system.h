@@ -8,7 +8,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "runtime/local_transport.h"
+#include "net/lan.h"
+#include "runtime/delayed_executor.h"
 #include "runtime/threaded_client.h"
 #include "runtime/threaded_replica.h"
 
@@ -21,9 +22,9 @@ namespace aqua::runtime {
 struct ThreadedSystemConfig {
   std::uint64_t seed = 1;
   ThreadedClientConfig client;
-  /// One-way delay of each hop on the in-process LocalTransport (unused
-  /// when `transport` is set).
-  NetDelayModel net;
+  /// Delay model of the system's own wall-clock net::Lan (unused when
+  /// `transport` is set).
+  net::LanConfig net = net::in_process_lan(usec(200), usec(50));
 
   /// Optional telemetry hub (non-owning; must outlive the system),
   /// shared by every replica and — unless client.telemetry is set —
@@ -36,10 +37,11 @@ struct ThreadedSystemConfig {
   int scrape_port = -1;
 
   /// The transport every replica and client endpoint lives on
-  /// (non-owning; must outlive the system). Null builds an in-process
-  /// LocalTransport with `net`. The transport must be safe for sends from
-  /// arbitrary threads (UdpTransport is; the simulated Lan is not — it
-  /// belongs to the simulator's single thread).
+  /// (non-owning; must outlive the system). Null builds a net::Lan with
+  /// `net` on a wall-clock DelayedExecutor. The transport must take sends
+  /// from any thread and deliver on its own: UdpTransport and a Lan on
+  /// the wall clock do; a Lan on a sim::Simulator delivers only when the
+  /// simulator is stepped.
   net::Transport* transport = nullptr;
 };
 
@@ -86,12 +88,19 @@ class ThreadedSystem {
   /// Live scrape server, or nullptr when scrape_port < 0 / no telemetry.
   [[nodiscard]] obs::ScrapeServer* scrape_server() { return scrape_.get(); }
 
+  /// The system's own Lan, for fault injection (host crash, spikes,
+  /// message filter). Throws when config.transport was set.
+  [[nodiscard]] net::Lan& lan();
+
  private:
   ThreadedSystemConfig config_;
   Rng rng_;
   /// Built when config.transport is null; declared before the replicas
-  /// and clients so it outlives their endpoints.
-  std::unique_ptr<LocalTransport> local_transport_;
+  /// and clients so they outlive their endpoints, and the executor after
+  /// the Lan so it stops (discarding pending hops, joining a delivery in
+  /// progress) before the Lan is destroyed.
+  std::unique_ptr<net::Lan> lan_;
+  std::unique_ptr<DelayedExecutor> executor_;
   IdGenerator<ReplicaId> replica_ids_;
   IdGenerator<ClientId> client_ids_;
   std::vector<std::unique_ptr<ThreadedReplica>> replicas_;

@@ -11,8 +11,10 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <utility>
 #include <vector>
 
+#include "common/scheduler.h"
 #include "common/time.h"
 
 namespace aqua::sim {
@@ -46,17 +48,23 @@ class EventHandle {
   std::shared_ptr<detail::EventState> state_;
 };
 
-class Simulator {
+class Simulator final : public Scheduler {
  public:
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   /// Current simulated time. Starts at the epoch (t = 0).
-  [[nodiscard]] TimePoint now() const { return now_; }
+  [[nodiscard]] TimePoint now() const override { return now_; }
 
   /// Schedule `fn` at absolute time `at` (>= now()).
   EventHandle schedule_at(TimePoint at, EventFn fn);
+
+  /// Scheduler: schedule_at without a handle; never refuses.
+  bool run_at(TimePoint at, Task task) override {
+    schedule_at(at, std::move(task));
+    return true;
+  }
 
   /// Schedule `fn` after `delay` (>= 0) from now.
   EventHandle schedule_after(Duration delay, EventFn fn);

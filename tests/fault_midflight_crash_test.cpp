@@ -14,7 +14,7 @@
 #include "net/lan.h"
 #include "net/payload.h"
 #include "replica/service_model.h"
-#include "runtime/local_transport.h"
+#include "runtime/delayed_executor.h"
 #include "runtime/threaded_system.h"
 #include "sim/simulator.h"
 #include "stats/variates.h"
@@ -71,7 +71,13 @@ TEST(MidflightCrashSimTest, RequestInFlightToCrashingReplicaIsAbsorbedByTheOther
 
 TEST(MidflightCrashThreadedTest, SubmitToCrashedReplicaFailsAndQueuedWorkNeverReplies) {
   std::atomic<int> replies{0};
-  runtime::LocalTransport transport{runtime::NetDelayModel{}, Rng{2}};
+  // A wall-clock Lan whose executor stops before the Lan is destroyed.
+  struct WallLan {
+    runtime::DelayedExecutor executor;
+    net::Lan lan{executor, Rng{2}, net::in_process_lan(usec(200), usec(50))};
+    ~WallLan() { executor.shutdown(); }
+  } wire;
+  net::Lan& transport = wire.lan;
   const EndpointId client = transport.create_endpoint(
       HostId{2}, [&](EndpointId, const net::Payload& message) {
         if (message.get_if<proto::Reply>() != nullptr) ++replies;
@@ -99,8 +105,8 @@ TEST(MidflightCrashThreadedTest, SubmitToCrashedReplicaFailsAndQueuedWorkNeverRe
 
 TEST(MidflightCrashThreadedTest, ClientFallsBackToSurvivorsWhenSelectedReplicaIsDead) {
   runtime::ThreadedSystemConfig config;
-  config.net.base = usec(500);  // generous "wire" so the crash races nothing
-  config.net.jitter_max = usec(100);
+  // A generous "wire", so the crash races nothing.
+  config.net = net::in_process_lan(usec(500), usec(50));
   runtime::ThreadedSystem system{config};
   runtime::ThreadedReplica& doomed = system.add_replica(stats::make_constant(msec(2)));
   system.add_replica(stats::make_constant(msec(2)));

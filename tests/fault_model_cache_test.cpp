@@ -55,8 +55,7 @@ TEST(ModelCacheInvalidationTest, StaleGenerationMissesAndReplaces) {
 
 TEST(ModelCacheInvalidationTest, ConcurrentInvokesAndRemovalsStayCoherent) {
   runtime::ThreadedSystemConfig config;
-  config.net.base = usec(100);
-  config.net.jitter_max = usec(50);
+  config.net = net::in_process_lan(usec(100), usec(25));
   runtime::ThreadedSystem system{config};
   std::vector<ReplicaId> ids;
   for (int i = 0; i < 4; ++i) {

@@ -136,8 +136,7 @@ TEST(FaultTelemetryThreaded, CrashMidRunKeepsEveryTraceClosed) {
   obs::Telemetry telemetry;
   runtime::ThreadedSystemConfig config;
   config.telemetry = &telemetry;
-  config.net.base = usec(500);
-  config.net.jitter_max = usec(100);
+  config.net = net::in_process_lan(usec(500), usec(50));
   runtime::ThreadedSystem system{config};
   runtime::ThreadedReplica& doomed = system.add_replica(stats::make_constant(msec(2)));
   system.add_replica(stats::make_constant(msec(2)));

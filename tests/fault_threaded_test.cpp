@@ -3,8 +3,9 @@
 // ThreadedScenarioRunner. Timings here are not bit-reproducible, so the
 // assertions pin the applied-action set, the end state (membership, QoS)
 // and workload liveness. tools/run_checks.sh runs this suite again under
-// TSan: the scenario thread retunes modulation blocks while replica
-// workers draw from them, which is exactly the race surface to certify.
+// TSan: the scenario thread retunes modulation blocks and the system's
+// wall-clock Lan while replica workers and clients draw from and send
+// through them, which is exactly the race surface to certify.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,15 +20,13 @@ namespace aqua::fault {
 namespace {
 
 struct ThreadedChaosRig {
-  // hooks must precede system: the config wires hooks.net into the
-  // system's LocalTransport.
-  ThreadedScenarioHooks hooks;
+  ScenarioHooks hooks;
   runtime::ThreadedSystem system;
   std::vector<runtime::ThreadedReplica*> replicas;
 
   explicit ThreadedChaosRig(std::size_t replica_count, core::QosSpec qos,
                             std::uint64_t seed = 1)
-      : hooks{make_hooks()}, system{make_config(hooks, seed)} {
+      : system{make_config(seed)} {
     for (std::size_t i = 0; i < replica_count; ++i) {
       auto modulation = std::make_shared<stats::LoadModulation>();
       hooks.replica_load.push_back(modulation);
@@ -38,18 +37,10 @@ struct ThreadedChaosRig {
   }
 
  private:
-  static ThreadedScenarioHooks make_hooks() {
-    ThreadedScenarioHooks hooks;
-    hooks.net = std::make_shared<stats::LoadModulation>();
-    return hooks;
-  }
-  static runtime::ThreadedSystemConfig make_config(const ThreadedScenarioHooks& hooks,
-                                                   std::uint64_t seed) {
+  static runtime::ThreadedSystemConfig make_config(std::uint64_t seed) {
     runtime::ThreadedSystemConfig config;
     config.seed = seed;
-    config.net.base = usec(300);
-    config.net.jitter_max = usec(100);
-    config.net.modulation = hooks.net;
+    config.net = net::in_process_lan(usec(300), usec(50));
     return config;
   }
 };
@@ -76,7 +67,7 @@ TEST(FaultThreadedTest, SupportedScriptAppliesFullyWhileWorkloadRuns) {
   EXPECT_EQ(timeline.count("fault"), script.actions.size());
   EXPECT_EQ(timeline.count("unsupported"), 0u);
 
-  // Crash took effect: the runner withdrew replica 3 from the client.
+  // Crash took effect: its host went down, and the client evicted it.
   EXPECT_FALSE(rig.replicas[3]->alive());
   EXPECT_EQ(rig.system.clients()[0]->known_replicas(), 3u);
   // Renegotiation took effect.
@@ -100,23 +91,24 @@ TEST(FaultThreadedTest, UnsupportedActionsAreRecordedNotSilentlySkipped) {
   runner.start();
   runner.wait();
 
-  EXPECT_EQ(runner.unsupported_actions(), 2u);  // drop + restart
+  EXPECT_EQ(runner.unsupported_actions(), 1u);  // restart
   const trace::Timeline timeline = runner.timeline();
-  EXPECT_EQ(timeline.count("unsupported"), 2u);
-  EXPECT_EQ(timeline.count("fault"), 1u);  // the crash applied
+  EXPECT_EQ(timeline.count("unsupported"), 1u);
+  EXPECT_EQ(timeline.count("fault"), 2u);  // the drop window and the crash applied
   EXPECT_FALSE(rig.replicas[0]->alive());
 }
 
 TEST(FaultThreadedTest, ModulationRetuningRacesWorkersCleanly) {
-  // Tight loop retuning the hooks while the workload draws from them —
-  // the TSan run of this test certifies the atomics in LoadModulation.
+  // Tight loop retuning the hooks and the Lan's spike factor while the
+  // workload draws from and sends through them — the TSan run of this
+  // test certifies the atomics in LoadModulation and the Lan's lock.
   ThreadedChaosRig rig{3, core::QosSpec{msec(150), 0.5}};
 
   std::atomic<bool> stop{false};
   std::thread tuner([&] {
     std::uint64_t i = 0;
     while (!stop.load()) {
-      rig.hooks.net->set_factor(1.0 + static_cast<double>(i % 5));
+      rig.system.lan().force_spike(1.0 + static_cast<double>(i % 5));
       rig.hooks.replica_load[static_cast<std::size_t>(i) % 3]->set_extra(usec(200));
       rig.hooks.replica_load[static_cast<std::size_t>(i) % 3]->reset();
       ++i;

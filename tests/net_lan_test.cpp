@@ -224,10 +224,17 @@ TEST_F(LanTest, DestroyedEndpointDropsTraffic) {
   EXPECT_FALSE(lan.endpoint_exists(b));
 }
 
-TEST_F(LanTest, UnknownSenderThrows) {
+TEST_F(LanTest, UnknownSenderIsACountedDrop) {
+  // As over UDP: a threaded replica's reply can outlive its endpoint.
   Lan lan{sim_, Rng{1}, quiet_config()};
-  const EndpointId b = lan.create_endpoint(HostId{2}, [](EndpointId, const Payload&) {});
-  EXPECT_THROW(lan.unicast(EndpointId{999}, b, text("x")), std::invalid_argument);
+  int delivered = 0;
+  const EndpointId b =
+      lan.create_endpoint(HostId{2}, [&](EndpointId, const Payload&) { ++delivered; });
+  EXPECT_NO_THROW(lan.unicast(EndpointId{999}, b, text("x")));
+  sim_.run();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(lan.messages_sent(), 1u);
+  EXPECT_EQ(lan.messages_dropped(), 1u);
 }
 
 TEST_F(LanTest, LossRateDropsApproximatelyThatFraction) {

@@ -1,13 +1,15 @@
 // Transport conformance: the behaviour every net::Transport backend must
-// share, run against the simulated Lan, the real-socket UdpTransport and
-// the threaded runtime's in-process LocalTransport — delivery, multicast
-// fan-out payload integrity, drop accounting for destroyed endpoints, and
-// the host-liveness signal. The backend-specific contracts ride along:
-// FIFO-per-pair ordering (sim only — UDP makes no ordering promise),
-// SpanContext surviving the UDP wire format (the sim hands payloads
-// across by pointer, so only the socket backend actually marshals it),
-// and, on both threaded backends, destroy_endpoint waiting out a
-// delivery in progress but not a callback destroying its own endpoint.
+// share, run against the Lan on simulated time, the same Lan on the wall
+// clock (the threaded runtime's in-process network) and the real-socket
+// UdpTransport — delivery, multicast fan-out payload integrity, drop
+// accounting for destroyed endpoints, and the host-liveness signal. The
+// backend-specific contracts ride along: FIFO-per-pair ordering and host
+// crash (Lan on both clocks — UDP makes no ordering promise and detects
+// crashes by its retransmit budget), SpanContext surviving the UDP wire
+// format (the Lan hands payloads across by pointer, so only the socket
+// backend actually marshals it), and, on both threaded backends,
+// destroy_endpoint waiting out a delivery in progress but not a callback
+// destroying its own endpoint.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,7 +33,7 @@
 #include "obs/span.h"
 #include "obs/telemetry.h"
 #include "proto/messages.h"
-#include "runtime/local_transport.h"
+#include "runtime/delayed_executor.h"
 #include "sim/simulator.h"
 
 namespace aqua::net {
@@ -50,6 +52,13 @@ UdpTransportConfig fast_udp() {
 LanConfig quiet_lan() {
   LanConfig cfg;
   cfg.jitter_sigma = 0.0;
+  return cfg;
+}
+
+/// Heavy jitter: raw delays would reorder messages on one pair.
+LanConfig jittery_lan(LanConfig cfg) {
+  cfg.jitter_sigma = 0.9;
+  cfg.fifo_per_pair = true;
   return cfg;
 }
 
@@ -198,8 +207,40 @@ void check_callback_destroying_its_own_endpoint(Transport& transport) {
   ASSERT_TRUE(wait_for([&] { return inbox.size() == 1; }));
 }
 
+void check_dead_host_drops_and_notifies(Lan& lan, const std::function<void(std::size_t)>& flush) {
+  const EndpointId a = lan.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  Inbox inbox;
+  const EndpointId b = lan.create_endpoint(HostId{2}, inbox.sink());
+  std::vector<std::pair<HostId, bool>> transitions;
+  // Runs on the thread that calls set_host_alive: this one.
+  lan.subscribe_host_state(
+      [&](HostId host, bool alive) { transitions.emplace_back(host, alive); });
+
+  lan.set_host_alive(HostId{2}, false);
+  EXPECT_FALSE(lan.host_alive(HostId{2}));
+  lan.unicast(a, b, Payload::make(std::string{"lost"}, 64));
+  flush(0);
+  EXPECT_EQ(inbox.size(), 0u);
+  EXPECT_GE(lan.messages_dropped(), 1u);
+  ASSERT_EQ(transitions.size(), 1u);
+  EXPECT_EQ(transitions[0], (std::pair<HostId, bool>{HostId{2}, false}));
+}
+
+void check_fifo_per_pair(Lan& lan, Inbox& inbox, const std::function<void(std::size_t)>& flush) {
+  const EndpointId a = lan.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  const EndpointId b = lan.create_endpoint(HostId{2}, inbox.sink());
+  constexpr int kCount = 32;
+  for (int i = 0; i < kCount; ++i) {
+    lan.unicast(a, b, Payload::make(std::to_string(i), 64));
+  }
+  flush(kCount);
+  const auto messages = inbox.snapshot();
+  ASSERT_EQ(messages.size(), static_cast<std::size_t>(kCount));
+  for (int i = 0; i < kCount; ++i) EXPECT_EQ(messages[static_cast<std::size_t>(i)].second, std::to_string(i));
+}
+
 // ---------------------------------------------------------------------------
-// Simulated Lan backend
+// Lan on simulated time
 // ---------------------------------------------------------------------------
 
 class SimConformance : public ::testing::Test {
@@ -228,39 +269,13 @@ TEST_F(SimConformance, DestroyedEndpointIsACountedDrop) {
 
 TEST_F(SimConformance, DeadHostDropsTrafficAndNotifies) {
   Lan lan{sim_, Rng{1}, quiet_lan()};
-  const EndpointId a = lan.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
-  Inbox inbox;
-  const EndpointId b = lan.create_endpoint(HostId{2}, inbox.sink());
-  std::vector<std::pair<HostId, bool>> transitions;
-  lan.subscribe_host_state(
-      [&](HostId host, bool alive) { transitions.emplace_back(host, alive); });
-
-  lan.set_host_alive(HostId{2}, false);
-  EXPECT_FALSE(lan.host_alive(HostId{2}));
-  lan.unicast(a, b, Payload::make(std::string{"lost"}, 64));
-  sim_.run();
-  EXPECT_EQ(inbox.size(), 0u);
-  EXPECT_GE(lan.messages_dropped(), 1u);
-  ASSERT_EQ(transitions.size(), 1u);
-  EXPECT_EQ(transitions[0], (std::pair<HostId, bool>{HostId{2}, false}));
+  check_dead_host_drops_and_notifies(lan, flush());
 }
 
 TEST_F(SimConformance, FifoPerPairNeverReorders) {
-  LanConfig cfg;
-  cfg.jitter_sigma = 0.9;  // heavy jitter: raw delays would reorder
-  cfg.fifo_per_pair = true;
-  Lan lan{sim_, Rng{7}, cfg};
-  const EndpointId a = lan.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  Lan lan{sim_, Rng{7}, jittery_lan(LanConfig{})};
   Inbox inbox;
-  const EndpointId b = lan.create_endpoint(HostId{2}, inbox.sink());
-  constexpr int kCount = 32;
-  for (int i = 0; i < kCount; ++i) {
-    lan.unicast(a, b, Payload::make(std::to_string(i), 64));
-  }
-  sim_.run();
-  const auto messages = inbox.snapshot();
-  ASSERT_EQ(messages.size(), static_cast<std::size_t>(kCount));
-  for (int i = 0; i < kCount; ++i) EXPECT_EQ(messages[static_cast<std::size_t>(i)].second, std::to_string(i));
+  check_fifo_per_pair(lan, inbox, flush());
 }
 
 TEST_F(SimConformance, ChunkedRequestReplyRoundTrip) {
@@ -759,12 +774,17 @@ TEST_F(UdpConformance, DestroyingAnIdleEndpointIsPrompt) {
 }
 
 // ---------------------------------------------------------------------------
-// In-process LocalTransport backend (threaded runtime)
+// Lan on the wall clock (the threaded runtime's in-process network)
 // ---------------------------------------------------------------------------
 
 class LocalConformance : public ::testing::Test {
  protected:
-  runtime::LocalTransport local_{runtime::NetDelayModel{}, Rng{1}};
+  // The executor stops before the Lans it serves are destroyed.
+  ~LocalConformance() override { executor_.shutdown(); }
+
+  runtime::DelayedExecutor executor_;
+  Lan local_{executor_, Rng{1}, in_process_lan(usec(200), usec(50))};
+  Lan jittery_{executor_, Rng{7}, jittery_lan(in_process_lan(usec(200), usec(100)))};
 
   std::function<void(std::size_t)> flush(Inbox& inbox) {
     return [&inbox](std::size_t at_least) {
@@ -820,6 +840,16 @@ TEST_F(LocalConformance, MulticastCopiesShareOneBody) {
 TEST_F(LocalConformance, DestroyedEndpointIsACountedDrop) {
   Inbox inbox;
   check_destroyed_endpoint_drops(local_, flush(inbox));
+}
+
+TEST_F(LocalConformance, DeadHostDropsTrafficAndNotifies) {
+  Inbox inbox;
+  check_dead_host_drops_and_notifies(local_, flush(inbox));
+}
+
+TEST_F(LocalConformance, FifoPerPairNeverReorders) {
+  Inbox inbox;
+  check_fifo_per_pair(jittery_, inbox, flush(inbox));
 }
 
 TEST_F(LocalConformance, SpanContextIsCarriedOnThePayload) {

@@ -18,7 +18,7 @@ std::vector<TimePoint> run_flush_schedule(Duration period, Duration horizon) {
   sim::Simulator simulator;
   SnapshotFlusher flusher;
   std::vector<TimePoint> flush_times;
-  flusher.start_sim(simulator, period, [&](std::size_t index) {
+  flusher.start(simulator, period, [&](std::size_t index) {
     EXPECT_EQ(index, flush_times.size());  // 0-based, monotonic
     flush_times.push_back(simulator.now());
   });
@@ -45,7 +45,7 @@ TEST(SimFlusher, ScheduleIsDeterministicAcrossRuns) {
 TEST(SimFlusher, StopHaltsFurtherFlushes) {
   sim::Simulator simulator;
   SnapshotFlusher flusher;
-  flusher.start_sim(simulator, msec(5), [](std::size_t) {});
+  flusher.start(simulator, msec(5), [](std::size_t) {});
   simulator.run_until(TimePoint{msec(12)});
   EXPECT_EQ(flusher.flushes(), 2u);
   flusher.stop();
@@ -56,12 +56,12 @@ TEST(SimFlusher, StopHaltsFurtherFlushes) {
 TEST(SimFlusher, RestartResetsTheFlushIndex) {
   sim::Simulator simulator;
   SnapshotFlusher flusher;
-  flusher.start_sim(simulator, msec(5), [](std::size_t) {});
+  flusher.start(simulator, msec(5), [](std::size_t) {});
   simulator.run_until(TimePoint{msec(11)});
   EXPECT_EQ(flusher.flushes(), 2u);
-  // start_* implies stop(): the old task is cancelled, the index resets.
+  // start() implies stop(): the old task is cancelled, the index resets.
   std::vector<std::size_t> indices;
-  flusher.start_sim(simulator, msec(2), [&](std::size_t index) { indices.push_back(index); });
+  flusher.start(simulator, msec(2), [&](std::size_t index) { indices.push_back(index); });
   simulator.run_until(TimePoint{msec(16)});
   EXPECT_EQ(flusher.flushes(), 2u);
   EXPECT_EQ(indices, (std::vector<std::size_t>{0, 1}));
@@ -70,7 +70,7 @@ TEST(SimFlusher, RestartResetsTheFlushIndex) {
 TEST(WallFlusher, FiresAndStops) {
   runtime::DelayedExecutor executor;
   SnapshotFlusher flusher;
-  flusher.start_wall(executor, msec(1), [](std::size_t) {});
+  flusher.start(executor, msec(1), [](std::size_t) {});
 
   // Wait (bounded) for at least two ticks.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);

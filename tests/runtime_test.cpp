@@ -13,9 +13,9 @@
 #include <thread>
 #include <vector>
 
+#include "net/lan.h"
 #include "obs/telemetry.h"
 #include "runtime/delayed_executor.h"
-#include "runtime/local_transport.h"
 #include "runtime/threaded_system.h"
 
 namespace aqua::runtime {
@@ -47,7 +47,7 @@ TEST(DelayedExecutorTest, RunsTaskAfterDelay) {
   std::atomic<bool> ran{false};
   const auto start = std::chrono::steady_clock::now();
   std::atomic<std::int64_t> elapsed_ms{0};
-  executor.post_after(std::chrono::milliseconds(30), [&] {
+  executor.run_at(steady_now() + msec(30), [&] {
     elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                      std::chrono::steady_clock::now() - start)
                      .count();
@@ -62,15 +62,15 @@ TEST(DelayedExecutorTest, TasksRunInDeadlineOrder) {
   DelayedExecutor executor;
   std::mutex m;
   std::vector<int> order;
-  executor.post_after(std::chrono::milliseconds(60), [&] {
+  executor.run_at(steady_now() + msec(60), [&] {
     std::lock_guard lock(m);
     order.push_back(3);
   });
-  executor.post_after(std::chrono::milliseconds(20), [&] {
+  executor.run_at(steady_now() + msec(20), [&] {
     std::lock_guard lock(m);
     order.push_back(1);
   });
-  executor.post_after(std::chrono::milliseconds(40), [&] {
+  executor.run_at(steady_now() + msec(40), [&] {
     std::lock_guard lock(m);
     order.push_back(2);
   });
@@ -82,9 +82,9 @@ TEST(DelayedExecutorTest, TasksRunInDeadlineOrder) {
 TEST(DelayedExecutorTest, ShutdownDiscardsPendingAndRejectsNew) {
   auto executor = std::make_unique<DelayedExecutor>();
   std::atomic<bool> ran{false};
-  executor->post_after(std::chrono::seconds(10), [&] { ran = true; });
+  executor->run_at(steady_now() + sec(10), [&] { ran = true; });
   executor->shutdown();
-  EXPECT_FALSE(executor->post_after(std::chrono::milliseconds(1), [] {}));
+  EXPECT_FALSE(executor->run_at(steady_now() + msec(1), [] {}));
   executor.reset();
   EXPECT_FALSE(ran.load());
 }
@@ -97,19 +97,21 @@ TEST(DelayedExecutorTest, TasksRunOnTime) {
     std::promise<Clock::time_point> ran;
     auto ran_at = ran.get_future();
     const auto due = Clock::now() + usec(100);
-    ASSERT_TRUE(executor.post_after(usec(100), [&ran] { ran.set_value(Clock::now()); }));
+    ASSERT_TRUE(
+        executor.run_at(steady_now() + usec(100), [&ran] { ran.set_value(Clock::now()); }));
     lateness.push_back(std::chrono::duration_cast<Duration>(ran_at.get() - due));
   }
   EXPECT_LT(median(lateness), kWakeBound);
 }
 
-/// Zero-delay hops, for tests that look only at the replica.
-NetDelayModel no_delay() {
-  NetDelayModel net;
-  net.base = Duration::zero();
-  net.jitter_max = Duration::zero();
-  return net;
-}
+/// A wall-clock Lan with zero-delay hops, for tests that look only at
+/// the replica. The executor stops before the Lan is destroyed.
+struct NoDelayLan {
+  DelayedExecutor executor;
+  net::Lan lan{executor, Rng{9}, net::in_process_lan(Duration::zero(), Duration::zero())};
+
+  ~NoDelayLan() { executor.shutdown(); }
+};
 
 /// An endpoint callback that hands every proto::Reply to `fn`.
 net::ReceiveFn on_reply(std::function<void(const proto::Reply&)> fn) {
@@ -122,7 +124,8 @@ TEST(ThreadedReplicaTest, ServicesAndReportsPerf) {
   std::atomic<bool> got{false};
   proto::Reply captured;
   std::mutex m;
-  LocalTransport transport{no_delay(), Rng{9}};
+  NoDelayLan wire;
+  net::Lan& transport = wire.lan;
   const EndpointId client = transport.create_endpoint(HostId{2}, on_reply([&](const proto::Reply& reply) {
     std::lock_guard lock(m);
     captured = reply;
@@ -144,7 +147,8 @@ TEST(ThreadedReplicaTest, ServicesAndReportsPerf) {
 
 TEST(ThreadedReplicaTest, CrashStopsService) {
   std::atomic<int> replies{0};
-  LocalTransport transport{no_delay(), Rng{9}};
+  NoDelayLan wire;
+  net::Lan& transport = wire.lan;
   const EndpointId client =
       transport.create_endpoint(HostId{2}, on_reply([&](const proto::Reply&) { ++replies; }));
   ThreadedReplica replica{ReplicaId{1},
@@ -167,7 +171,8 @@ TEST(ThreadedReplicaTest, ServiceTimeIsTheDraw) {
   std::mutex m;
   std::condition_variable done;
   std::vector<Duration> service;
-  LocalTransport transport{no_delay(), Rng{9}};
+  NoDelayLan wire;
+  net::Lan& transport = wire.lan;
   const EndpointId client = transport.create_endpoint(HostId{2}, on_reply([&](const proto::Reply& reply) {
     std::lock_guard lock(m);
     service.push_back(reply.perf.service_time);
@@ -192,7 +197,8 @@ TEST(ThreadedReplicaTest, EndpointServesRequestCancelAndSubscribe) {
   std::mutex m;
   std::vector<proto::Reply> replies;
   std::vector<proto::Announce> announces;
-  LocalTransport transport{no_delay(), Rng{9}};
+  NoDelayLan wire;
+  net::Lan& transport = wire.lan;
   const EndpointId client =
       transport.create_endpoint(HostId{2}, [&](EndpointId, const net::Payload& message) {
         std::lock_guard lock(m);
@@ -231,7 +237,8 @@ TEST(ThreadedReplicaTest, EndpointServesRequestCancelAndSubscribe) {
 
 TEST(ThreadedReplicaTest, CrashDrainsTheQueue) {
   std::atomic<int> replies{0};
-  LocalTransport transport{no_delay(), Rng{9}};
+  NoDelayLan wire;
+  net::Lan& transport = wire.lan;
   const EndpointId client =
       transport.create_endpoint(HostId{2}, on_reply([&](const proto::Reply&) { ++replies; }));
   ThreadedReplica replica{ReplicaId{1},
@@ -251,7 +258,8 @@ TEST(ThreadedReplicaTest, CrashDrainsTheQueue) {
 TEST(ThreadedReplicaTest, ShutdownUnblocksTheWorker) {
   // Destruction wakes a worker blocked on an empty queue, and one
   // sleeping through a service, without waiting for queued work.
-  LocalTransport transport{no_delay(), Rng{9}};
+  NoDelayLan wire;
+  net::Lan& transport = wire.lan;
   for (const bool loaded : {false, true}) {
     auto replica = std::make_unique<ThreadedReplica>(
         ReplicaId{1}, replica::make_sampled_service(stats::make_constant(msec(100))), Rng{1},
@@ -273,7 +281,8 @@ TEST(ThreadedReplicaTest, ManyProducersOneWorker) {
   constexpr int kPerProducer = 200;
   std::mutex m;
   std::vector<std::uint64_t> seqs;
-  LocalTransport transport{no_delay(), Rng{9}};
+  NoDelayLan wire;
+  net::Lan& transport = wire.lan;
   const EndpointId client =
       transport.create_endpoint(HostId{2}, on_reply([&](const proto::Reply& reply) {
         std::lock_guard lock(m);
@@ -310,8 +319,7 @@ class ThreadedClientTest : public ::testing::Test {
  protected:
   ThreadedSystemConfig fast_config() {
     ThreadedSystemConfig cfg;
-    cfg.net.base = usec(200);
-    cfg.net.jitter_max = usec(100);
+    cfg.net = net::in_process_lan(usec(200), usec(50));
     return cfg;
   }
 };

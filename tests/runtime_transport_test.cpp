@@ -4,8 +4,8 @@
 // submission. Also pins the Subscribe/Announce discovery handshake and
 // the host-eviction path (a silent replica is reported dead by the
 // retransmit budget and leaves the selection directory), and checks that
-// one workload makes the same decisions over the in-process
-// LocalTransport as over UDP.
+// one workload makes the same decisions over the in-process wall-clock
+// Lan as over UDP.
 #include <gtest/gtest.h>
 
 #include <chrono>

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "sim/simulator.h"
+
 namespace aqua::sim {
 namespace {
 

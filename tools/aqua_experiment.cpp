@@ -589,7 +589,7 @@ int main(int argc, char** argv) {
 
   obs::SnapshotFlusher flusher;
   if (opt.obs_flush_ms > 0) {
-    flusher.start_sim(system.simulator(), msec(opt.obs_flush_ms), [&telemetry](std::size_t tick) {
+    flusher.start(system.simulator(), msec(opt.obs_flush_ms), [&telemetry](std::size_t tick) {
       std::ostringstream line;
       obs::write_metrics_json(line, telemetry);
       std::printf("obs[%zu] %s\n", tick, line.str().c_str());

@@ -23,7 +23,8 @@
 # fleet over loopback UDP must yield at least one fully-stitched trace
 # whose merged counters equal the sum of the per-node /metrics totals.
 # Last come the sanitizer configs: TSan (build-tsan/) runs the chaos,
-# telemetry and transport tiers; ASan+UBSan (build-asan/) runs tier-1,
+# telemetry and transport tiers (the Lan on both clocks, UDP, and the
+# threaded runtime over each); ASan+UBSan (build-asan/) runs tier-1,
 # the chaos tier and the transport tests.
 #
 # Usage: tools/run_checks.sh [jobs]
@@ -260,9 +261,9 @@ ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L fault
 step "Telemetry tier: ctest -L obs (TSan)"
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L obs
 
-step "Transport conformance + UDP runtime + threaded client and replica (TSan)"
+step "Transport conformance (Lan on both clocks, UDP) + threaded runtime (TSan)"
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-  -R 'SimConformance|UdpConformance|LocalConformance|RuntimeTransportTest|UdpRegressionTest|ThreadedClientTest|ThreadedReplicaTest|ReplicaCore'
+  -R 'SimConformance|UdpConformance|LocalConformance|RuntimeTransportTest|UdpRegressionTest|ThreadedClientTest|ThreadedReplicaTest|ThreadedLanTest|ReplicaCore'
 
 step "Configure + build: AddressSanitizer + UndefinedBehaviorSanitizer (build-asan/)"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DENABLE_ASAN=ON -DENABLE_UBSAN=ON \
@@ -277,6 +278,6 @@ ctest --test-dir build-asan --output-on-failure -j "${JOBS}" -L fault
 
 step "Transport conformance + UDP runtime (ASan+UBSan)"
 ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-  -R 'SimConformance|UdpConformance|LocalConformance|RuntimeTransportTest|UdpRegressionTest'
+  -R 'SimConformance|UdpConformance|LocalConformance|RuntimeTransportTest|UdpRegressionTest|ThreadedLanTest'
 
 step "All checks passed"
