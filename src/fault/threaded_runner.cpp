@@ -7,12 +7,11 @@
 namespace aqua::fault {
 
 ThreadedScenarioRunner::ThreadedScenarioRunner(runtime::ThreadedSystem& system,
-                                               ScenarioScript script, ScenarioHooks hooks,
-                                               std::uint64_t seed)
+                                               ScenarioScript script, ScenarioHooks hooks)
     : system_(system),
       script_(std::move(script)),
       hooks_(std::move(hooks)),
-      lan_windows_(system.lan(), script_, seed) {}
+      lan_windows_(system.lan(), script_, /*seed=*/1) {}
 
 void ThreadedScenarioRunner::start() {
   AQUA_REQUIRE(!started_, "scenario already started");

@@ -11,6 +11,8 @@
 // requests, QoS renegotiation calls set_qos. What a threaded deployment
 // cannot express (process restart) is recorded as unsupported rather
 // than silently skipped, so a test can assert exactly which subset ran.
+// The runner needs the system's own Lan; a ThreadedSystem over an
+// external transport (UdpTransport) cannot be driven by it.
 //
 // Timelines here are NOT bit-reproducible (real scheduling), but the
 // recorded set of applied actions is; the chaos tests assert on that and
@@ -32,10 +34,12 @@ namespace aqua::fault {
 
 class ThreadedScenarioRunner {
  public:
-  /// `system` must run on its own Lan (no config.transport). `seed` feeds
-  /// the message filter's coin flips, as in ScenarioRunner.
+  /// `system` must run on its own Lan: over an external transport
+  /// (config.transport set, e.g. UdpTransport) there is no Lan to crash a
+  /// host on or to filter, and the constructor throws. The message
+  /// filter's coin flips come from a fixed seed.
   ThreadedScenarioRunner(runtime::ThreadedSystem& system, ScenarioScript script,
-                         ScenarioHooks hooks, std::uint64_t seed = 1);
+                         ScenarioHooks hooks);
 
   ThreadedScenarioRunner(const ThreadedScenarioRunner&) = delete;
   ThreadedScenarioRunner& operator=(const ThreadedScenarioRunner&) = delete;
